@@ -43,27 +43,14 @@ __all__ = [
 # Candidate lattice points examined per call, cumulative over box growth.
 DEFAULT_ENUM_BUDGET = 1 << 22
 
-# Supported argument range for the Gamma evaluations. The rational
-# approximation below is tuned for this window; callers needing k-th roots
-# of huge values go through gamma_root, which stays in log space.
+# Supported argument range for the Gamma evaluations, the window the tests
+# check against the standard library and mpmath. Gamma itself overflows a
+# double above x ~ 171.6, so callers needing k-th roots of larger values go
+# through gamma_root, which falls back to log space there.
 GAMMA_DOMAIN = (0.05, 500.0)
 
-# Lanczos coefficients, g = 7, 9 terms. Relative error below 1e-13 on the
-# supported domain, comfortably under the 1e-12 the coefficient paths need.
-_LANCZOS_G = 7.0
-_LANCZOS = (
-    0.99999999999980993,
-    676.5203681218851,
-    -1259.1392167224028,
-    771.32342877765313,
-    -176.61502916214059,
-    12.507343278686905,
-    -0.13857109526572012,
-    9.9843695780195716e-6,
-    1.5056327351493116e-7,
-)
-
-_LOG_SQRT_TWO_PI = 0.5 * math.log(2.0 * math.pi)
+# Largest p-power norm the int64 box arrays can hold.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
 def _check_gamma_domain(x: float) -> None:
@@ -95,22 +82,10 @@ def _exact_gamma(x: float):
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), True
 
 
-def _lanczos_log_gamma(x: float) -> float:
-    # Valid for x >= 0.5.
-    acc = _LANCZOS[0]
-    for i in range(1, 9):
-        acc += _LANCZOS[i] / (x - 1.0 + i)
-    t = x + _LANCZOS_G - 0.5
-    return _LOG_SQRT_TWO_PI + (x - 0.5) * math.log(t) - t + math.log(acc)
-
-
 def log_gamma(x: float) -> float:
-    """log Gamma(x) on the supported domain, accurate to ~1e-13 relative."""
+    """log Gamma(x) on the supported domain."""
     _check_gamma_domain(x)
-    if x < 0.5:
-        # reflection: Gamma(x) Gamma(1-x) = pi / sin(pi x), sin > 0 here
-        return math.log(math.pi) - math.log(math.sin(math.pi * x)) - _lanczos_log_gamma(1.0 - x)
-    return _lanczos_log_gamma(x)
+    return math.lgamma(x)
 
 
 def gamma_fn(x: float) -> float:
@@ -118,49 +93,41 @@ def gamma_fn(x: float) -> float:
 
     Integer and half-integer arguments short-circuit to exact factorial
     arithmetic (rounded once on conversion to float); everything else goes
-    through the rational approximation. Raises OverflowError where the true
-    value exceeds the double range (x above roughly 171.6); use log_gamma
-    or gamma_root there.
+    through math.gamma. Raises OverflowError where the true value exceeds
+    the double range (x above roughly 171.6); use log_gamma or gamma_root
+    there.
     """
     _check_gamma_domain(x)
     exact = _exact_gamma(x)
-    if exact is not None:
-        frac, with_sqrt_pi = exact
-        value = float(frac)  # raises OverflowError for huge factorials
-        if with_sqrt_pi:
-            value *= math.sqrt(math.pi)
-        if math.isinf(value):
-            raise OverflowError(f"Gamma({x}) exceeds double range")
-        return value
-    lg = log_gamma(x)
-    if lg > 709.0:
+    try:
+        if exact is None:
+            value = math.gamma(x)
+        else:
+            frac, with_sqrt_pi = exact
+            value = float(frac)
+            if with_sqrt_pi:
+                value *= math.sqrt(math.pi)
+    except OverflowError:
+        value = math.inf
+    if math.isinf(value):
         raise OverflowError(f"Gamma({x}) exceeds double range")
-    return math.exp(lg)
+    return value
 
 
 def gamma_root(x: float, r: int) -> float:
     """Gamma(x)^(1/r) without overflow, for integer r >= 1.
 
-    Short-circuits through the exact value when the argument is an integer
-    or half-integer small enough to represent; otherwise evaluates in log
+    Roots gamma_fn(x) while that is finite, so gamma_root(x, 1) equals
+    gamma_fn(x) bit for bit; beyond the double range it evaluates in log
     space. This is the path the bound coefficients use for (k!)^(1/k) at
     large k.
     """
     if r < 1:
         raise ValueError(f"root order must be >= 1, got {r}")
-    _check_gamma_domain(x)
-    exact = _exact_gamma(x)
-    if exact is not None:
-        frac, with_sqrt_pi = exact
-        try:
-            value = float(frac)
-        except OverflowError:
-            value = math.inf
-        if math.isfinite(value):
-            if with_sqrt_pi:
-                value *= math.sqrt(math.pi)
-            return value ** (1.0 / r)
-    return math.exp(log_gamma(x) / r)
+    try:
+        return gamma_fn(x) ** (1.0 / r)
+    except OverflowError:
+        return math.exp(log_gamma(x) / r)
 
 
 @dataclass(frozen=True)
@@ -257,21 +224,46 @@ def _validate_lattice_args(k: int, p: int) -> None:
 
 
 def _box_norms(t: int, k: int, p: int) -> np.ndarray:
-    """p-power norms of every point of the box [-t, t]^k, exact integers.
+    """p-power norms of every point of the box [-t, t]^k, as exact int64.
 
-    Uses int64 unless the whole-box p-power sum could reach the unsafe
-    range, in which case Python-object integers keep the arithmetic exact.
-    The guard bounds the sum, not just one norm, because callers reduce
-    these arrays and int64 would wrap silently (k = 1 shells hit this
-    from n = 18 with p = 3).
+    The largest norm is k * t^p. When that does not fit in int64 the box is
+    refused with BudgetExceededError before anything is allocated. Only a
+    single norm has to fit: lattice_shell_enumerate adds the selected norms
+    up exactly.
     """
-    worst_total = (2 * t + 1) ** k * k * t**p
-    dtype = object if worst_total >= 2**62 else np.int64
-    side = np.abs(np.arange(-t, t + 1, dtype=dtype)) ** p
+    largest = k * t**p
+    if largest > _INT64_MAX:
+        raise BudgetExceededError("int64 lattice norms", largest, _INT64_MAX)
+    side = np.abs(np.arange(-t, t + 1, dtype=np.int64)) ** p
     norms = side
     for _ in range(k - 1):
         norms = (norms[:, None] + side[None, :]).ravel()
     return norms
+
+
+def _grow_box(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, np.ndarray]:
+    """First box side t on the growth path whose t-ball holds 2^n points.
+
+    Returns t and the p-power norms of the points in that t-ball.
+
+    Boxes [-t, t]^k grow from just past the continuum radius by half their
+    side per step, keeping points with norm^p <= t^p; any lattice point
+    with p-norm <= t lies inside the box, so each kept ball is complete.
+    The budget counts box points cumulatively across growth steps and is
+    checked before each box is built.
+    """
+    count = 1 << n
+    spent = 0
+    t = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
+    while True:
+        spent += (2 * t + 1) ** k
+        if spent > budget:
+            raise BudgetExceededError(what, spent, budget)
+        norms = _box_norms(t, k, p)
+        inside = norms[norms <= t**p]
+        if inside.size >= count:
+            return t, inside
+        t += max(1, t // 2)
 
 
 def lattice_shell_enumerate(
@@ -279,35 +271,26 @@ def lattice_shell_enumerate(
 ) -> LatticeShellSummary:
     """Select the 2^n points of Z^k closest to the origin in p-norm.
 
-    Enumerates growing boxes [-t, t]^k, keeping points with norm^p <= t^p;
-    any lattice point with p-norm <= t lies inside the box, so each kept
-    ball is complete. Ties on the boundary shell contribute count * v* to
-    the sum, so no per-point tie-break is needed here (the points path
-    below realizes the deterministic order when identities matter).
-
-    Budget counts candidate box points, cumulative across growth steps.
+    Ties on the boundary shell contribute count * v* to the sum, so no
+    per-point tie-break is needed here (the points path below realizes the
+    deterministic order when identities matter). Budget counts candidate
+    box points, cumulative across growth steps (see _grow_box).
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    r_cont = radius_for_count(n, k, p)
+    _, inside = _grow_box(n, k, p, budget, "lattice box enumeration")
     count = 1 << n
-    spent = 0
-    t = max(1, math.ceil(r_cont) + 1)
-    while True:
-        box = (2 * t + 1) ** k
-        spent += box
-        if spent > budget:
-            raise BudgetExceededError("lattice box enumeration", spent, budget)
-        norms = _box_norms(t, k, p)
-        inside = norms[norms <= t**p]
-        if inside.size >= count:
-            break
-        t += max(1, t // 2)
     inside = np.sort(inside)
     vstar = int(inside[count - 1])
     below = int(np.searchsorted(inside[:count], vstar, side="left"))
-    total = int(inside[:below].sum()) + (count - below) * vstar
+    # The total can pass 2^63 (k = 1, p = 3 reaches about 2^79), so the
+    # nonnegative norms are summed as high and low 32-bit halves; neither
+    # partial sum can wrap below 2^31 entries.
+    sel = inside[:below]
+    total = (int((sel >> 32).sum()) << 32) + int((sel & 0xFFFFFFFF).sum())
+    total += (count - below) * vstar
+    r_cont = radius_for_count(n, k, p)
     if n == 0:
         ratio = None
     else:
@@ -330,33 +313,23 @@ def lattice_shell_points(
 ) -> list[tuple[tuple[int, ...], int]]:
     """The selected points themselves, as (point, norm^p) pairs.
 
-    Pure-Python reference path. Order is the deterministic tie-break:
-    ascending exact p-power norm, then lexicographic on coordinates.
-    Intended for cross-checking the vectorized summary at small sizes.
+    Pure-Python reference path over the final box of _grow_box. Order is
+    the deterministic tie-break: ascending exact p-power norm, then
+    lexicographic on coordinates. Intended for cross-checking the
+    vectorized summary at small sizes.
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    r_cont = radius_for_count(n, k, p)
-    count = 1 << n
-    spent = 0
-    t = max(1, math.ceil(r_cont) + 1)
-    while True:
-        box = (2 * t + 1) ** k
-        spent += box
-        if spent > budget:
-            raise BudgetExceededError("lattice point enumeration", spent, budget)
-        cutoff = t**p
-        kept = []
-        for point in itertools.product(range(-t, t + 1), repeat=k):
-            norm = sum(abs(c) ** p for c in point)
-            if norm <= cutoff:
-                kept.append((point, norm))
-        if len(kept) >= count:
-            break
-        t += max(1, t // 2)
+    t, _ = _grow_box(n, k, p, budget, "lattice point enumeration")
+    cutoff = t**p
+    kept = []
+    for point in itertools.product(range(-t, t + 1), repeat=k):
+        norm = sum(abs(c) ** p for c in point)
+        if norm <= cutoff:
+            kept.append((point, norm))
     kept.sort(key=lambda item: (item[1], item[0]))
-    return kept[:count]
+    return kept[: 1 << n]
 
 
 def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:
@@ -376,26 +349,23 @@ def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUD
     else:
         # boundary shells sit at integer norms; nudge past float powering error
         cutoff = math.floor(r**p * (1.0 + 1e-12))
-    if t == 0:
-        count = 1 if cutoff >= 0 else 0
-    else:
-        norms = _box_norms(t, k, p)
-        count = int((norms <= cutoff).sum())
+    count = int((_box_norms(t, k, p) <= cutoff).sum())
     vol = ball_volume(k, p, r)
     return abs(count - vol) / vol
 
 
 def max_enumerable_n(k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
-    """Largest n whose shell enumeration fits the budget.
+    """Largest n whose shell enumeration fits the budget and the int64 norms.
 
-    Runs the real enumeration with increasing n until the budget trips, so
-    the answer is exactly consistent with lattice_shell_enumerate.
+    Grows the same boxes as lattice_shell_enumerate with increasing n until
+    the budget or the norm guard trips, so the answer is exactly consistent
+    with it, without sorting or summing any shell.
     """
     _validate_lattice_args(k, p)
     n = 0
     while True:
         try:
-            lattice_shell_enumerate(n + 1, k, p, budget)
+            _grow_box(n + 1, k, p, budget, "lattice box enumeration")
         except BudgetExceededError:
             return n
         n += 1

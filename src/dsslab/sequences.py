@@ -110,16 +110,18 @@ def _subset_total(seq: VectorSequence, mask: int) -> tuple[int, ...]:
     return tuple(total)
 
 
+def _pack(vec: tuple[int, ...], base: int) -> int:
+    """One vector as a mixed-radix integer, first coordinate least significant."""
+    acc = 0
+    for c in reversed(vec):
+        acc = acc * base + c
+    return acc
+
+
 def _packed_vectors(seq: VectorSequence) -> list[int]:
     # Component sums stay in [0, n*bound], so base n*bound + 1 never carries.
     base = seq.n * seq.bound + 1
-    packed = []
-    for vec in seq.vectors:
-        acc = 0
-        for c in reversed(vec):
-            acc = acc * base + c
-        packed.append(acc)
-    return packed
+    return [_pack(vec, base) for vec in seq.vectors]
 
 
 def iter_gray_subset_sums(seq: VectorSequence) -> Iterator[tuple[int, int]]:
@@ -238,13 +240,7 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
     Raises BudgetExceededError when the node budget trips mid-search.
     """
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
-    packed = []
-    base = n * m + 1
-    for vec in candidates:
-        acc = 0
-        for c in reversed(vec):
-            acc = acc * base + c
-        packed.append(acc)
+    packed = [_pack(vec, n * m + 1) for vec in candidates]
 
     chosen: list[int] = []
     # sums of all subsets of the chosen prefix, packed

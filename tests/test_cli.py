@@ -103,6 +103,11 @@ def test_lattice_check_ratio_undefined_at_n_zero():
 def test_lattice_check_budget_exit(capsys):
     assert main(["lattice-check", "--n", "20", "--k", "3", "--p", "3", "--budget", "100"]) == 3
     assert "budget" in capsys.readouterr().err
+    # A norm past the int64 range is refused the same way, with no output.
+    assert main(["lattice-check", "--n", "6", "--k", "1", "--p", "25"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "int64" in captured.err
 
 
 def test_verify_exit_codes(good_file, bad_file):

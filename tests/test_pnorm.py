@@ -35,7 +35,8 @@ def test_gamma_examples():
 
 def test_gamma_integer_and_half_integer_short_circuits():
     # These arguments go through exact rational arithmetic, so the
-    # result is the correctly rounded double, not a Lanczos estimate.
+    # result is the correctly rounded double, not a math.gamma estimate
+    # (math.gamma(1.5) differs from sqrt(pi)/2 in the last bit).
     assert gamma_fn(3.0) == 2.0
     assert gamma_fn(7.0) == 720.0
     assert gamma_fn(1.5) == math.sqrt(math.pi) / 2.0
@@ -121,6 +122,10 @@ def test_radius_for_count_examples():
     assert radius_for_count(4, 1, 1) == 8.0
     assert abs(radius_for_count(4, 2, 1) - math.sqrt(8.0)) < 1e-14
     assert abs(radius_for_count(3, 3, 3) - 1.119846521722186) < 1e-12
+    # k = 1 collapses to 2^(n - 1) exactly for every p, which needs
+    # gamma_root(x, 1) to equal gamma_fn(x) bit for bit.
+    for p in range(1, 30):
+        assert radius_for_count(5, 1, p) == 16.0, p
 
 
 def test_radius_round_trips_through_volume():
@@ -178,6 +183,25 @@ def test_shell_deviation_shrinks_in_one_dimension():
         assert devs[2] <= 0.05
 
 
+def test_one_dimensional_shells_match_faulhaber():
+    # The 2^n points of Z nearest 0 are 0, +-1, ..., +-(m - 1) and one of
+    # +-m, with m = 2^(n - 1). The p = 3 totals pass 2^63, so an int64
+    # reduction that wraps fails here.
+    faulhaber = {
+        1: lambda j: j * (j + 1) // 2,
+        2: lambda j: j * (j + 1) * (2 * j + 1) // 6,
+        3: lambda j: (j * (j + 1) // 2) ** 2,
+    }
+    for p, power_sum in faulhaber.items():
+        n_max = max_enumerable_n(1, p)
+        for n in range(1, n_max + 1):
+            m = 1 << (n - 1)
+            s = lattice_shell_enumerate(n, 1, p)
+            assert s.discrete_sum == 2 * power_sum(m - 1) + m**p, (p, n)
+            assert s.boundary_norm_power == m**p, (p, n)
+    assert lattice_shell_enumerate(n_max, 1, 3).discrete_sum >= 2**63
+
+
 def test_points_agree_with_summary():
     for n, k, p in ((4, 2, 1), (5, 2, 2), (6, 3, 3), (3, 1, 2)):
         summary = lattice_shell_enumerate(n, k, p)
@@ -221,10 +245,23 @@ def test_shell_budget_error_reports_need():
         lattice_shell_enumerate(12, 2, 2, budget=100)
     assert info.value.budget == 100
     assert info.value.needed > 100
+    with pytest.raises(BudgetExceededError) as info:
+        lattice_shell_points(12, 2, 2, budget=100)
+    assert info.value.budget == 100
+    assert info.value.needed > 100
+    # A single norm k * t^p must fit in int64; 33^25 and 40^25 do not.
+    with pytest.raises(BudgetExceededError):
+        lattice_shell_enumerate(6, 1, 25)
+    with pytest.raises(BudgetExceededError):
+        lattice_count_check(1, 25, 40.0)
+    # At k = 1, p = 4 the guard trips from n = 17 (t = 2^16 + 1), well
+    # inside the default budget, and max_enumerable_n stops there too.
+    assert max_enumerable_n(1, 4) == 16
+    assert lattice_shell_enumerate(16, 1, 4).boundary_norm_power == 2**60
 
 
 def test_max_enumerable_n_is_tight():
-    for k, p in ((2, 2), (3, 1)):
+    for k, p in itertools.product((1, 2, 3), repeat=2):
         n = max_enumerable_n(k, p, budget=10**4)
         lattice_shell_enumerate(n, k, p, budget=10**4)
         with pytest.raises(BudgetExceededError):
