@@ -2,9 +2,10 @@
 
 For a sequence of vectors a_1..a_n and independent uniform signs
 eps_i in {-1/2, +1/2}, X = sum eps_i a_i. Internally signs are modeled as
-+-1 and every value is halved at the API boundary, which keeps the
-dynamic-programming tables integral: coordinate j's distribution lives on
-the integer grid [-S_j, S_j] with S_j = sum_i a_ij.
++-1 and every value is halved at the API boundary, which keeps the exact
+distributions integral: coordinate j's signed sums are integers in
+[-S_j, S_j] with S_j = sum_i a_ij, held as sorted int64 value and count
+arrays.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p).
@@ -12,6 +13,9 @@ standard error, bit-for-bit reproducible from (seed, samples, seq, p).
 
 from __future__ import annotations
 
+import itertools
+import operator
+from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -36,39 +40,77 @@ __all__ = [
     "variance_identity_check",
 ]
 
-# Dense DP table slots (or sparse support entries) per coordinate.
+# Support entries (distinct signed-sum values) a distribution may hold
+# after any one coordinate.
 DEFAULT_TABLE_BUDGET = 1 << 22
 
 # Monte Carlo block size. Fixed: summation order is part of the
 # reproducibility contract, so the chunking must not depend on the host.
 MC_CHUNK = 1 << 15
 
-# Dense storage is wasteful below this support density; see
-# signed_sum_distribution.
-_SPARSE_DENSITY = 8
+# Largest signed sum, and largest count, the int64 arrays can hold.
+_INT64_MAX = np.iinfo(np.int64).max
 
 
-@dataclass(frozen=True)
+class _Support(Mapping):
+    """Read-only value -> count view of a distribution's sorted arrays."""
+
+    def __init__(self, values: np.ndarray, counts: np.ndarray):
+        self._values = values
+        self._counts = counts
+
+    def __len__(self) -> int:
+        return len(self._values)
+
+    def __iter__(self) -> Iterator[int]:
+        return iter(self._values.tolist())
+
+    def __getitem__(self, value) -> int:
+        values = self._values
+        # The range test keeps searchsorted inside int64.
+        if values[0] <= value <= values[-1]:
+            i = int(np.searchsorted(values, value))
+            if values[i] == value:
+                return int(self._counts[i])
+        raise KeyError(value)
+
+
+@dataclass(frozen=True, eq=False)
 class SignedSumDistribution:
     """Distribution of sum eps_i * c_i over sign patterns eps in {-1,+1}^n.
 
-    support maps value -> exact count of sign patterns; counts total 2^n
-    and the map is symmetric under negation. Values are in the doubled
+    values holds the distinct signed sums in increasing order and counts
+    the exact number of sign patterns reaching each (both int64); counts
+    total 2^n and the distribution is symmetric under negation. support
+    reads the same as a value -> count mapping. Values are in the doubled
     convention (signs +-1); divide by 2 to read them on the +-1/2 scale.
     coordinate records which coordinate of the owning sequence this is,
     when there is one.
     """
 
     n: int
-    support: dict[int, int]
+    values: np.ndarray
+    counts: np.ndarray
     coordinate: int | None = None
 
+    @property
+    def support(self) -> Mapping[int, int]:
+        return _Support(self.values, self.counts)
+
     def total(self) -> int:
-        return sum(self.support.values())
+        return int(self.counts.sum())
 
     def moment_power_sum(self, p: int) -> int:
-        """sum over the support of count * |value|^p, an exact integer."""
-        return sum(count * abs(value) ** p for value, count in self.support.items())
+        """sum over the support of count * |value|^p, an exact integer.
+
+        By symmetry only values >= 0 are visited, each positive one
+        standing for its negation as well.
+        """
+        half = self.values >= 0
+        values = self.values[half]
+        weights = np.where(values > 0, 2, 1) * self.counts[half]
+        powers = map(pow, values.tolist(), itertools.repeat(p))
+        return sum(map(operator.mul, weights.tolist(), powers))
 
 
 def signed_sum_distribution(
@@ -76,54 +118,49 @@ def signed_sum_distribution(
 ) -> SignedSumDistribution:
     """Exact convolution of the two-point distributions {-c, +c}.
 
-    Dense array DP over the offset range [-S, S] by default; when the
-    support can fill at most 1/8 of that range (2^n * 8 < 2S + 1) a sparse
-    dict DP is used instead. Both are exact; the choice is spent memory.
+    One loop over the coordinates keeps the support as sorted int64
+    arrays. Step c concatenates values - c and values + c, two sorted
+    runs that a stable sort merges in linear time, and np.add.reduceat
+    folds the counts of equal values.
+
+    budget caps the support entries after any one step and is checked
+    before that step merges. The next support has at most
+    min(2 * len, reach + 1) entries, reach being the running sum of the
+    coordinates (every value shares its parity); when that bound passes
+    the budget, the exact next size is counted before refusing. Inputs
+    the int64 arrays cannot hold are refused up front: a coordinate sum
+    of 2^63 or more, or n >= 63 (counts reach 2^n). Every refusal raises
+    BudgetExceededError.
     """
     coords = [int(c) for c in coords]
     if any(c < 0 for c in coords):
         raise ValueError(f"coordinates must be nonnegative, got {coords}")
-    n = len(coords)
-    span = sum(coords)
-    width = 2 * span + 1
-    sparse = n < 60 and (1 << n) * _SPARSE_DENSITY < width
-    if not sparse and width > budget:
-        raise BudgetExceededError("signed-sum DP table", width, budget)
+    n, span = len(coords), sum(coords)
+    if n >= 63:
+        raise BudgetExceededError("int64 signed-sum counts", 1 << n, _INT64_MAX)
+    if span > _INT64_MAX:
+        raise BudgetExceededError("int64 signed-sum values", span, _INT64_MAX)
 
-    if sparse:
-        table = {0: 1}
-        for c in coords:
-            nxt: dict[int, int] = {}
-            for v, cnt in table.items():
-                nxt[v - c] = nxt.get(v - c, 0) + cnt
-                nxt[v + c] = nxt.get(v + c, 0) + cnt
-            table = nxt
-            if len(table) > budget:
-                raise BudgetExceededError("signed-sum DP support", len(table), budget)
-        support = dict(sorted(table.items()))
-        return SignedSumDistribution(n=n, support=support, coordinate=coordinate)
-
-    # dense path: index i holds the count for value i - span
-    counts = [0] * width
-    counts[span] = 1
-    reach = 0  # values outside [-reach, reach] are all zero
+    values = np.zeros(1, dtype=np.int64)
+    counts = np.ones(1, dtype=np.int64)
+    reach = 0
     for c in coords:
         reach += c
-        lo, hi = span - reach, span + reach
-        nxt = [0] * width
-        if c == 0:
-            for i in range(lo, hi + 1):
-                if counts[i]:
-                    nxt[i] = counts[i] * 2
-        else:
-            for i in range(lo, hi + 1):
-                cnt = counts[i]
-                if cnt:
-                    nxt[i - c] += cnt
-                    nxt[i + c] += cnt
-        counts = nxt
-    support = {i - span: cnt for i, cnt in enumerate(counts) if cnt}
-    return SignedSumDistribution(n=n, support=support, coordinate=coordinate)
+        low, high = values - c, values + c
+        needed = min(2 * len(values), reach + 1)
+        if needed > budget:
+            # values - c and values + c meet wherever two values lie 2c apart.
+            hit = np.minimum(np.searchsorted(high, low), len(high) - 1)
+            needed = 2 * len(values) - int(np.count_nonzero(high[hit] == low))
+            if needed > budget:
+                raise BudgetExceededError("signed-sum DP support", needed, budget)
+        merged = np.concatenate((low, high))
+        order = np.argsort(merged, kind="stable")
+        merged = merged[order]
+        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
+        values = merged[starts]
+        counts = np.add.reduceat(np.concatenate((counts, counts))[order], starts)
+    return SignedSumDistribution(n=n, values=values, counts=counts, coordinate=coordinate)
 
 
 @dataclass(frozen=True)

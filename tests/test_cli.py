@@ -205,6 +205,21 @@ def test_moments_mc_records_seed(good_file):
     assert other["value"] != data["value"]
 
 
+def test_moments_int64_guard_exit(tmp_path, capsys):
+    # 63 signs give counts up to 2^63; two components of 2^62 give sums of
+    # 2^63. Neither fits the int64 DP, so both are refused before it runs.
+    zeros = tmp_path / "zeros.seq"
+    zeros.write_text("63 1 0\n" + "0\n" * 63)
+    top = tmp_path / "top.seq"
+    top.write_text(f"2 1 {1 << 62}\n{1 << 62}\n{1 << 62}\n")
+    for path in (zeros, top):
+        for fmt in ("text", "json"):
+            assert main(["moments", "--file", str(path), "--p", "1", "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "int64" in captured.err
+
+
 def test_moments_exact_rejects_fractional_p(good_file):
     assert main(["moments", "--file", good_file, "--p", "2.5"]) == 2
 

@@ -3,10 +3,13 @@
 from __future__ import annotations
 
 import itertools
+import math
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sequence
 from dsslab import (
@@ -51,8 +54,8 @@ def test_distribution_matches_direct_enumeration():
 
 
 def test_distribution_sparse_path_matches_direct_enumeration():
-    # Wide coordinate spread forces the dictionary path; small n keeps
-    # the direct product affordable.
+    # Wide coordinate spread: the support is far sparser than [-S, S] and
+    # hardly folds; small n keeps the direct product affordable.
     coords = (1000, 3000, 50000, 12345)
     expect = {}
     for signs in itertools.product((-1, 1), repeat=len(coords)):
@@ -61,11 +64,90 @@ def test_distribution_sparse_path_matches_direct_enumeration():
     assert signed_sum_distribution(coords).support == expect
 
 
+# Narrow coordinates repeat and include zeros, so the support folds
+# heavily; wide ones hardly fold at all.
+_COORD_RANGES = st.sampled_from((8, 10**6))
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+@_PROPERTY
+@given(_COORD_RANGES.flatmap(lambda hi: st.lists(st.integers(0, hi), max_size=10)))
+def test_distribution_matches_product_oracle(coords):
+    sums = [
+        sum(e * c for e, c in zip(signs, coords))
+        for signs in itertools.product((-1, 1), repeat=len(coords))
+    ]
+    dist = signed_sum_distribution(coords)
+    expect = {value: sums.count(value) for value in set(sums)}
+    assert dist.support == expect
+    assert all(dist.support[-value] == count for value, count in expect.items())
+    assert dist.total() == 2 ** len(coords)
+    for p in (1, 2, 3):
+        assert dist.moment_power_sum(p) == sum(abs(s) ** p for s in sums), p
+
+
+@st.composite
+def _sequences(draw):
+    k = draw(st.integers(1, 3))
+    hi = draw(_COORD_RANGES)
+    component = st.integers(0, hi)
+    vectors = draw(st.lists(st.tuples(*[component] * k), max_size=12))
+    bound = max((c for vec in vectors for c in vec), default=0)
+    return VectorSequence(len(vectors), k, bound, tuple(vectors))
+
+
+@_PROPERTY
+@given(_sequences())
+def test_second_moment_is_quarter_sum_of_squares(seq):
+    squares = sum(c * c for vec in seq.vectors for c in vec)
+    assert exact_moment(seq, 2).value == Fraction(squares, 4)
+
+
+def test_distribution_of_equal_coordinates_is_binomial():
+    # S = 4.2e6 but only 26 support entries: the budget counts entries,
+    # not the width of [-S, S].
+    dist = signed_sum_distribution((168000,) * 25)
+    assert dist.support == {168000 * (25 - 2 * j): math.comb(25, j) for j in range(26)}
+    assert exact_moment(VectorSequence(25, 1, 168000, ((168000,),) * 25), 1).value == (
+        extremal_moment(25, 1, 168000, 1).value
+    )
+
+
 def test_distribution_budget_error():
-    # Dense table would need 8.4e6 cells against a 2^22 budget, and the
-    # 2^25 subset count rules the sparse path out.
-    with pytest.raises(BudgetExceededError):
-        signed_sum_distribution((168000,) * 25)
+    # 2^22 distinct sums after 22 powers of two; the 23rd would double them.
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution([1 << i for i in range(23)])
+    assert (err.value.needed, err.value.budget) == (1 << 23, 1 << 22)
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution((1, 2, 4), budget=4)
+    assert (err.value.needed, err.value.budget) == (8, 4)
+
+
+def test_distribution_budget_counts_folded_support():
+    # The last two steps fold 8 and 10 merged entries into 5 and 6, so
+    # the bound min(2 * len, reach + 1) overstates them; the exact count
+    # decides.
+    dist = signed_sum_distribution((16, 32, 16, 16), budget=6)
+    assert dist.support == {-80: 1, -48: 3, -16: 4, 16: 4, 48: 3, 80: 1}
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution((16, 32, 16, 16), budget=5)
+    assert (err.value.needed, err.value.budget) == (6, 5)
+
+
+def test_distribution_int64_guards():
+    # Counts reach 2^n and values reach the coordinate sum; both must fit
+    # in int64.
+    assert signed_sum_distribution((0,) * 62).support == {0: 1 << 62}
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution((0,) * 63)
+    assert (err.value.needed, err.value.budget) == (1 << 63, (1 << 63) - 1)
+    top = (1 << 62, (1 << 62) - 1)
+    assert signed_sum_distribution(top).support == {
+        -((1 << 63) - 1): 1, -1: 1, 1: 1, (1 << 63) - 1: 1
+    }
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution((1 << 62, 1 << 62))
+    assert (err.value.needed, err.value.budget) == (1 << 63, (1 << 63) - 1)
 
 
 def test_exact_moment_examples():
