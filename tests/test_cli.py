@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+import math
+from pathlib import Path
 
 import pytest
 
 from dsslab import VectorSequence, crossover_table, format_crossover_csv, verify_distinct
 from dsslab.cli import DEFAULT_SEED, build_config, main, run
+
+GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
 GOOD = "3 1 4\n1\n2\n4\n"
 BAD = "3 1 3\n1\n2\n3\n"
@@ -25,6 +29,40 @@ def bad_file(tmp_path):
     path = tmp_path / "bad.seq"
     path.write_text(BAD)
     return str(path)
+
+
+def _same_json(got, want) -> bool:
+    """Structural equality with floats equal to 1e-12 relative, so a libm
+    difference in the last digit of a coefficient cannot fail the test."""
+    if isinstance(want, float) and isinstance(got, float):
+        return math.isclose(got, want, rel_tol=1e-12, abs_tol=0.0)
+    if isinstance(want, dict) and isinstance(got, dict):
+        return want.keys() == got.keys() and all(_same_json(got[k], want[k]) for k in want)
+    if isinstance(want, list) and isinstance(got, list):
+        return len(got) == len(want) and all(map(_same_json, got, want))
+    return type(got) is type(want) and got == want
+
+
+def test_cli_golden_outputs(tmp_path, capsys):
+    # Every command in every format, with its pass, collision, budget and
+    # audit exits. Entries are [argv, exit code, stdout]; `{name}` in argv
+    # is the path of input file `name`. Text and CSV must match byte for
+    # byte; JSON is compared after parsing.
+    golden = json.loads(GOLDEN.read_text())
+    paths = {}
+    for name, text in golden["files"].items():
+        paths[name] = tmp_path / f"{name}.seq"
+        paths[name].write_text(text)
+    commands = set()
+    for argv, code, stdout in golden["cases"]:
+        assert main([a.format(**paths) for a in argv]) == code, argv
+        out = capsys.readouterr().out
+        if argv[-1] == "json" and stdout:
+            assert _same_json(json.loads(out), json.loads(stdout)), argv
+        else:
+            assert out == stdout, argv
+        commands.add((argv[0], argv[-1]))
+    assert len(commands) == 7 * 3
 
 
 def test_defaults():
