@@ -19,7 +19,6 @@ from .bounds import (
     coeff_third,
     coeff_variance,
     crossover_table,
-    format_crossover_csv,
     lower_bound,
     published_regime,
     regime_disagreements,
@@ -29,7 +28,6 @@ from .combinatorics import (
     binomial,
     closed_form_s1,
     closed_form_s3,
-    closed_form_s3_even_majorant,
     scaled_abs_moment_sum,
 )
 from .errors import BudgetExceededError
@@ -47,7 +45,6 @@ from .moments import (
 )
 from .pnorm import (
     LatticeShellSummary,
-    PNormBall,
     ball_surface,
     ball_volume,
     gamma_fn,

@@ -45,8 +45,6 @@ __all__ = [
     "crossover_table",
     "published_regime",
     "regime_disagreements",
-    "format_crossover_csv",
-    "CROSSOVER_CSV_HEADER",
 ]
 
 METHOD_FIRST = "first_moment"
@@ -54,8 +52,8 @@ METHOD_THIRD = "third_moment"
 METHOD_VARIANCE = "variance"
 METHOD_TOKENS = (METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE)
 
-# Moment order behind each method; ties in best_method break toward lower p.
-_METHOD_ORDER = ((METHOD_FIRST, 1), (METHOD_VARIANCE, 2), (METHOD_THIRD, 3))
+# Methods by moment order (1, 2, 3); ties in best_method break toward lower p.
+_METHOD_ORDER = (METHOD_FIRST, METHOD_VARIANCE, METHOD_THIRD)
 
 
 def _check_k(k: int) -> None:
@@ -150,6 +148,9 @@ def lower_bound(n: int, k: int, method: str) -> BoundReport:
     )
 
 
+_COEFF_FIELD = {METHOD_FIRST: "c_first", METHOD_THIRD: "c_third", METHOD_VARIANCE: "c_variance"}
+
+
 @dataclass(frozen=True)
 class MethodComparison:
     """All three coefficients at one dimension plus the computed argmax."""
@@ -161,14 +162,9 @@ class MethodComparison:
     argmax: str
 
     def coefficient(self, method: str) -> float:
-        table = {
-            METHOD_FIRST: self.c_first,
-            METHOD_THIRD: self.c_third,
-            METHOD_VARIANCE: self.c_variance,
-        }
-        if method not in table:
+        if method not in _COEFF_FIELD:
             raise ValueError(f"unknown method {method!r}")
-        return table[method]
+        return getattr(self, _COEFF_FIELD[method])
 
 
 def best_method(k: int) -> MethodComparison:
@@ -179,17 +175,14 @@ def best_method(k: int) -> MethodComparison:
     returned coefficients.
     """
     _check_k(k)
-    values = {method: _COEFF_FN[method](k) for method, _ in _METHOD_ORDER}
-    winner = None
-    for method, _ in _METHOD_ORDER:
-        if winner is None or values[method] > values[winner]:
-            winner = method
+    values = {method: _COEFF_FN[method](k) for method in _METHOD_ORDER}
     return MethodComparison(
         k=k,
         c_first=values[METHOD_FIRST],
         c_third=values[METHOD_THIRD],
         c_variance=values[METHOD_VARIANCE],
-        argmax=winner,
+        # max keeps the first of equal values, the lowest order.
+        argmax=max(_METHOD_ORDER, key=values.__getitem__),
     )
 
 
@@ -225,16 +218,3 @@ def regime_disagreements(rows: list[MethodComparison]) -> list[tuple[int, str, s
         if row.argmax != label:
             out.append((row.k, row.argmax, label))
     return out
-
-
-CROSSOVER_CSV_HEADER = "k,c_first,c_third,c_variance,argmax"
-
-
-def format_crossover_csv(rows: list[MethodComparison]) -> str:
-    """CSV with 9 significant digits per coefficient, LF line ends."""
-    lines = [CROSSOVER_CSV_HEADER]
-    for row in rows:
-        lines.append(
-            f"{row.k},{row.c_first:.9g},{row.c_third:.9g},{row.c_variance:.9g},{row.argmax}"
-        )
-    return "\n".join(lines) + "\n"

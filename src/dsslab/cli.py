@@ -5,6 +5,11 @@ or a single configured output path (--out), and maps outcomes to exit
 codes: 0 success, 1 property refuted (a collision, or a finite-form bound
 exceeding a searched minimum), 2 usage error, 3 resource budget exceeded.
 
+Each command names one tuple of columns and reads them off its result
+dataclass. The picked rows feed one table renderer for text and CSV, and
+the same dicts become the rows or fields of the JSON object. Only `verify`
+and `search` write text by hand, because their text output is not a table.
+
 Output is a pure function of the parsed configuration: the same RunConfig
 produces byte-identical bytes, which the test suite asserts. Diagnostic
 notes (regime disagreements) go to stderr so machine-read streams stay
@@ -61,10 +66,6 @@ class CommandResult:
     code: int
 
 
-def _fmt_float(x: float) -> str:
-    return f"{x:.9g}"
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -73,15 +74,8 @@ def _cell(value) -> str:
     if isinstance(value, Fraction):
         return f"{value.numerator}/{value.denominator}"
     if isinstance(value, float):
-        return _fmt_float(value)
+        return f"{value:.9g}"
     return str(value)
-
-
-def _csv(header: list[str], rows: list[list]) -> str:
-    lines = [",".join(header)]
-    for row in rows:
-        lines.append(",".join(_cell(v) for v in row))
-    return "\n".join(lines) + "\n"
 
 
 def _json_default(obj):
@@ -90,78 +84,58 @@ def _json_default(obj):
     raise TypeError(f"not JSON serializable: {type(obj)!r}")
 
 
-def _json(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+def _table(header: tuple[str, ...], rows: list[dict], fmt: str) -> str:
+    """CSV, or a left-aligned text table with "-" for empty cells."""
+    cells = [[_cell(row[name]) for name in header] for row in rows]
+    if fmt == "csv":
+        return "".join(",".join(line) + "\n" for line in [header, *cells])
+    cells = [[c or "-" for c in line] for line in cells]
+    widths = [max([len(h)] + [len(line[i]) for line in cells]) for i, h in enumerate(header)]
+    return "".join(
+        "  ".join(c.ljust(w) for c, w in zip(line, widths)).rstrip() + "\n"
+        for line in [header, *cells]
+    )
 
 
-def _text_table(header: list[str], rows: list[list]) -> str:
-    cells = [[_cell(v) if _cell(v) else "-" for v in row] for row in rows]
-    widths = [max(len(h), *(len(r[i]) for r in cells)) if cells else len(h)
-              for i, h in enumerate(header)]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(header, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(c.ljust(w) for c, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
+def _pick(obj, columns: tuple[str, ...]) -> dict:
+    return {name: getattr(obj, name) for name in columns}
 
 
-def _render(config: RunConfig, header: list[str], rows: list[list], payload) -> str:
-    if config.fmt == "csv":
-        return _csv(header, rows)
+def _emit(config: RunConfig, columns, rows, fields, code: int = 0, notes=()) -> CommandResult:
+    """Render `rows` (dicts keyed by `columns`) as a CSV or text table, or
+    `fields` as the command's JSON object."""
     if config.fmt == "json":
-        return _json(payload)
-    return _text_table(header, rows)
+        payload = {"command": config.command, **fields}
+        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+    else:
+        text = _table(columns, rows, config.fmt)
+    return CommandResult(text, tuple(notes), code)
 
 
 def _cmd_bounds(config: RunConfig) -> CommandResult:
     methods = _bounds.METHOD_TOKENS if config.method == "all" else (config.method,)
-    reports = [_bounds.lower_bound(config.n, config.k, m) for m in methods]
-    header = ["method", "coefficient", "asymptotic_bound", "finite_bound"]
-    rows = [[r.method, r.coefficient, r.asymptotic_bound, r.finite_bound] for r in reports]
-    payload = {
-        "command": "bounds",
-        "n": config.n,
-        "k": config.k,
-        "rows": [
-            {
-                "method": r.method,
-                "coefficient": r.coefficient,
-                "asymptotic_bound": r.asymptotic_bound,
-                "finite_bound": r.finite_bound,
-            }
-            for r in reports
-        ],
-    }
-    return CommandResult(_render(config, header, rows, payload), (), 0)
+    columns = ("method", "coefficient", "asymptotic_bound", "finite_bound")
+    rows = [_pick(_bounds.lower_bound(config.n, config.k, m), columns) for m in methods]
+    return _emit(config, columns, rows, {"n": config.n, "k": config.k, "rows": rows})
 
 
 def _cmd_crossover(config: RunConfig) -> CommandResult:
     table = _bounds.crossover_table(config.k_min, config.k_max)
-    notes = tuple(
+    disagreements = _bounds.regime_disagreements(table)
+    notes = [
         f"note: k={k} computed argmax {computed} differs from published regime {published}"
-        for k, computed, published in _bounds.regime_disagreements(table)
-    )
-    if config.fmt == "csv":
-        return CommandResult(_bounds.format_crossover_csv(table), notes, 0)
-    header = ["k", "c_first", "c_third", "c_variance", "argmax"]
-    rows = [[r.k, r.c_first, r.c_third, r.c_variance, r.argmax] for r in table]
-    payload = {
-        "command": "crossover",
-        "rows": [
-            {
-                "k": r.k,
-                "c_first": r.c_first,
-                "c_third": r.c_third,
-                "c_variance": r.c_variance,
-                "argmax": r.argmax,
-            }
-            for r in table
-        ],
+        for k, computed, published in disagreements
+    ]
+    columns = ("k", "c_first", "c_third", "c_variance", "argmax")
+    rows = [_pick(r, columns) for r in table]
+    fields = {
+        "rows": rows,
         "disagreements": [
             {"k": k, "computed": computed, "published": published}
-            for k, computed, published in _bounds.regime_disagreements(table)
+            for k, computed, published in disagreements
         ],
     }
-    return CommandResult(_render(config, header, rows, payload), notes, 0)
+    return _emit(config, columns, rows, fields, notes=notes)
 
 
 def _cmd_lattice_check(config: RunConfig) -> CommandResult:
@@ -169,40 +143,19 @@ def _cmd_lattice_check(config: RunConfig) -> CommandResult:
     p = int(config.p)
     if config.radius is not None:
         disc = _pnorm.lattice_count_check(config.k, p, config.radius, budget=budget)
-        header = ["k", "p", "radius", "relative_discrepancy"]
-        rows = [[config.k, p, config.radius, disc]]
-        payload = {
-            "command": "lattice-check",
-            "k": config.k,
-            "p": p,
-            "radius": config.radius,
-            "relative_discrepancy": disc,
-        }
-        return CommandResult(_render(config, header, rows, payload), (), 0)
+        row = {"k": config.k, "p": p, "radius": config.radius, "relative_discrepancy": disc}
+        return _emit(config, tuple(row), [row], row)
     summary = _pnorm.lattice_shell_enumerate(config.n, config.k, p, budget=budget)
-    ratio = summary.continuum_ratio
-    header = [
+    columns = (
         "n", "k", "p", "count", "discrete_sum",
         "boundary_norm_power", "r_discrete", "r_continuous", "continuum_ratio",
-    ]
-    rows = [[
-        summary.n, summary.k, summary.p, summary.count, summary.discrete_sum,
-        summary.boundary_norm_power, summary.r_discrete, summary.r_continuous,
-        "undefined" if ratio is None else ratio,
-    ]]
-    payload = {
-        "command": "lattice-check",
-        "n": summary.n,
-        "k": summary.k,
-        "p": summary.p,
-        "count": summary.count,
-        "discrete_sum": summary.discrete_sum,
-        "boundary_norm_power": summary.boundary_norm_power,
-        "r_discrete": summary.r_discrete,
-        "r_continuous": summary.r_continuous,
-        "continuum_ratio": ratio,
-    }
-    return CommandResult(_render(config, header, rows, payload), (), 0)
+    )
+    fields = _pick(summary, columns)
+    # The ratio is undefined at n = 0: a word in a table cell, null in JSON.
+    row = dict(fields)
+    if row["continuum_ratio"] is None:
+        row["continuum_ratio"] = "undefined"
+    return _emit(config, columns, [row], fields)
 
 
 def _load_sequence(path: str) -> _sequences.VectorSequence:
@@ -213,79 +166,53 @@ def _load_sequence(path: str) -> _sequences.VectorSequence:
 def _cmd_verify(config: RunConfig) -> CommandResult:
     seq = _load_sequence(config.file)
     collision = _sequences.verify_distinct(seq)
+    columns = ("status", "first", "second", "total")
     if collision is None:
-        payload = {"command": "verify", "status": "pass", "n": seq.n, "k": seq.k}
-        if config.fmt == "json":
-            return CommandResult(_json(payload), (), 0)
-        if config.fmt == "csv":
-            return CommandResult(_csv(["status", "first", "second", "total"],
-                                      [["pass", None, None, None]]), (), 0)
-        return CommandResult("pass\n", (), 0)
-    first = " ".join(str(i) for i in collision.first)
-    second = " ".join(str(i) for i in collision.second)
-    total = " ".join(str(c) for c in collision.total)
-    payload = {
-        "command": "verify",
-        "status": "collision",
-        "first": list(collision.first),
-        "second": list(collision.second),
-        "total": list(collision.total),
-    }
-    if config.fmt == "json":
-        return CommandResult(_json(payload), (), 1)
-    if config.fmt == "csv":
-        return CommandResult(
-            _csv(["status", "first", "second", "total"],
-                 [["collision", f"{first}", f"{second}", f"{total}"]]), (), 1)
-    text = (
-        "collision: two subsets share a sum (indices zero-based)\n"
-        f"first:  {{{first}}}\n"
-        f"second: {{{second}}}\n"
-        f"sum:    ({total})\n"
-    )
-    return CommandResult(text, (), 1)
+        if config.fmt == "text":
+            return CommandResult("pass\n", (), 0)
+        row = {**dict.fromkeys(columns), "status": "pass"}
+        return _emit(config, columns, [row], {"status": "pass", "n": seq.n, "k": seq.k})
+    # Index and sum lists are space-joined in a cell and stay lists in JSON.
+    fields = {"status": "collision", **{c: list(getattr(collision, c)) for c in columns[1:]}}
+    row = {**fields, **{c: " ".join(map(str, fields[c])) for c in columns[1:]}}
+    if config.fmt == "text":
+        text = (
+            "collision: two subsets share a sum (indices zero-based)\n"
+            f"first:  {{{row['first']}}}\n"
+            f"second: {{{row['second']}}}\n"
+            f"sum:    ({row['total']})\n"
+        )
+        return CommandResult(text, (), 1)
+    return _emit(config, columns, [row], fields, code=1)
 
 
 def _cmd_search(config: RunConfig) -> CommandResult:
     budget = config.budget if config.budget is not None else _sequences.DEFAULT_NODE_BUDGET
     outcome = _sequences.min_m_search(config.n, config.k, budget=budget)
-    payload = {
-        "command": "search",
-        "n": outcome.n,
-        "k": outcome.k,
-        "m_min": outcome.m_min,
-        "exhaustive": outcome.exhaustive,
-        "refuted_below": outcome.refuted_below,
-        "nodes": outcome.nodes,
-        "witness": None
-        if outcome.witness is None
-        else {
-            "n": outcome.witness.n,
-            "k": outcome.witness.k,
-            "bound": outcome.witness.bound,
-            "vectors": [list(v) for v in outcome.witness.vectors],
-        },
-    }
-    header = ["n", "k", "m_min", "exhaustive", "refuted_below", "nodes"]
-    rows = [[outcome.n, outcome.k, outcome.m_min, outcome.exhaustive,
-             outcome.refuted_below, outcome.nodes]]
     code = 0 if outcome.exhaustive else 3
-    if config.fmt == "json":
-        return CommandResult(_json(payload), (), code)
-    if config.fmt == "csv":
-        return CommandResult(_csv(header, rows), (), code)
-    if outcome.witness is None:
-        text = (
-            f"search exhausted its node budget: every M < {outcome.refuted_below} is refuted,"
-            f" no witness yet ({outcome.nodes} nodes)\n"
-        )
-    else:
-        text = (
-            f"m_min = {outcome.m_min} (exhaustive, {outcome.nodes} nodes)\n"
-            "witness in sequence file format:\n"
-            + outcome.witness.to_text()
-        )
-    return CommandResult(text, (), code)
+    witness = outcome.witness
+    if config.fmt == "text":
+        if witness is None:
+            text = (
+                f"search exhausted its node budget: every M < {outcome.refuted_below} is refuted,"
+                f" no witness yet ({outcome.nodes} nodes)\n"
+            )
+        else:
+            text = (
+                f"m_min = {outcome.m_min} (exhaustive, {outcome.nodes} nodes)\n"
+                "witness in sequence file format:\n"
+                + witness.to_text()
+            )
+        return CommandResult(text, (), code)
+    columns = ("n", "k", "m_min", "exhaustive", "refuted_below", "nodes")
+    row = _pick(outcome, columns)
+    fields = {
+        **row,
+        "witness": None
+        if witness is None
+        else {**_pick(witness, ("n", "k", "bound")), "vectors": [list(v) for v in witness.vectors]},
+    }
+    return _emit(config, columns, [row], fields, code=code)
 
 
 def _cmd_moments(config: RunConfig) -> CommandResult:
@@ -298,60 +225,35 @@ def _cmd_moments(config: RunConfig) -> CommandResult:
         value = _moments.exact_moment(seq, int(p), budget=budget)
     else:
         value = _moments.mc_estimate(seq, config.p, config.samples, config.seed)
-    header = ["p", "value", "stderr", "samples", "provenance"]
-    rows = [[value.p, value.value, value.stderr, value.samples, value.provenance]]
-    payload = {
-        "command": "moments",
-        "n": seq.n,
-        "k": seq.k,
-        "p": value.p,
-        "value": value.value,
-        "stderr": value.stderr,
-        "samples": value.samples,
-        "provenance": value.provenance,
-    }
+    columns = ("p", "value", "stderr", "samples", "provenance")
+    row = _pick(value, columns)
+    fields = {"n": seq.n, "k": seq.k, **row}
     if value.provenance == "monte_carlo":
-        payload["seed"] = config.seed
-    return CommandResult(_render(config, header, rows, payload), (), 0)
+        fields["seed"] = config.seed
+    return _emit(config, columns, [row], fields)
 
 
 def _cmd_report(config: RunConfig) -> CommandResult:
     budget = config.budget if config.budget is not None else _sequences.DEFAULT_NODE_BUDGET
     report = _sequences.bound_vs_search_report(config.n, config.k, budget=budget)
-    header = [
+    columns = (
         "method", "finite_bound", "asymptotic_bound", "m_min", "baseline_m",
         "finite_violation", "asymptotic_exceeds",
-    ]
-    rows = [
-        [row.method, row.finite_bound, row.asymptotic_bound, row.m_min,
-         row.baseline_m, row.finite_violation, row.asymptotic_exceeds]
-        for row in report.rows
-    ]
-    payload = {
-        "command": "report",
-        "n": report.n,
-        "k": report.k,
-        "m_min": report.m_min,
-        "baseline_m": report.baseline_m,
+    )
+    rows = [_pick(row, columns) for row in report.rows]
+    # m_min and baseline_m are the same on every row; JSON states them once.
+    fields = {
+        **_pick(report, ("n", "k", "m_min", "baseline_m", "any_violation")),
         "rows": [
-            {
-                "method": row.method,
-                "finite_bound": row.finite_bound,
-                "asymptotic_bound": row.asymptotic_bound,
-                "finite_violation": row.finite_violation,
-                "asymptotic_exceeds": row.asymptotic_exceeds,
-            }
-            for row in report.rows
+            {c: v for c, v in row.items() if c not in ("m_min", "baseline_m")} for row in rows
         ],
-        "any_violation": report.any_violation,
     }
-    notes = tuple(
+    notes = [
         f"note: asymptotic bound of {row.method} exceeds m_min at this size (informational)"
         for row in report.rows
         if row.asymptotic_exceeds and not row.finite_violation
-    )
-    code = 1 if report.any_violation else 0
-    return CommandResult(_render(config, header, rows, payload), notes, code)
+    ]
+    return _emit(config, columns, rows, fields, code=1 if report.any_violation else 0, notes=notes)
 
 
 _HANDLERS = {
@@ -369,6 +271,13 @@ def _positive_int(text: str) -> int:
     value = int(text)
     if value < 1:
         raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
+    return value
+
+
+def _nonnegative_int(text: str) -> int:
+    value = int(text)
+    if value < 0:
+        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
     return value
 
 
@@ -402,11 +311,13 @@ def _build_parser() -> argparse.ArgumentParser:
     common(sp)
 
     sp = sub.add_parser("lattice-check", help="discrete vs continuum shell comparison")
-    sp.add_argument("--n", type=int, default=None, help="select the 2^n closest lattice points")
+    mode = sp.add_mutually_exclusive_group(required=True)
+    mode.add_argument("--n", type=_nonnegative_int, default=None,
+                      help="select the 2^n closest lattice points")
+    mode.add_argument("--radius", type=float, default=None,
+                      help="count-vs-volume check at this radius instead of a shell summary")
     sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--p", type=_positive_int, required=True)
-    sp.add_argument("--radius", type=float, default=None,
-                    help="count-vs-volume check at this radius instead of a shell summary")
     sp.add_argument("--budget", type=_positive_int, default=None,
                     help="candidate point budget for the enumeration")
     common(sp)
@@ -445,14 +356,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
 def build_config(argv) -> RunConfig:
     """Parse argv into an immutable RunConfig. Exits with code 2 on usage errors."""
-    args = _build_parser().parse_args(argv)
-    values = vars(args)
-    if values["command"] == "lattice-check" and values.get("n") is None and values.get("radius") is None:
-        _build_parser().error("lattice-check needs --n or --radius")
-    if values["command"] == "lattice-check" and values.get("n") is not None and values["n"] < 0:
-        _build_parser().error("--n must be nonnegative")
-    fields = {f: values[f] for f in RunConfig.__dataclass_fields__ if f in values}
-    return RunConfig(**fields)
+    values = vars(_build_parser().parse_args(argv))
+    return RunConfig(**{f: values[f] for f in RunConfig.__dataclass_fields__ if f in values})
 
 
 def run(config: RunConfig) -> CommandResult:

@@ -22,7 +22,6 @@ __all__ = [
     "scaled_abs_moment_sum",
     "closed_form_s1",
     "closed_form_s3",
-    "closed_form_s3_even_majorant",
 ]
 
 
@@ -96,15 +95,3 @@ def closed_form_s3(n: int) -> Fraction:
         return Fraction(math.factorial(n), half * half)
     half = math.factorial((n - 1) // 2)
     return Fraction(math.factorial(n) * (2 * n - 1), 4 * half * half)
-
-
-def closed_form_s3_even_majorant(n: int) -> Fraction:
-    """The even-branch value of closed_form_s3 at n rounded up to even.
-
-    Upper-bounds S_3(n) for every n >= 1, which is what the final step of
-    the cubic-moment chain uses when n is odd.
-    """
-    if n < 1:
-        raise ValueError(f"majorant requires n >= 1, got {n}")
-    m = n if n % 2 == 0 else n + 1
-    return closed_form_s3(m)

@@ -28,7 +28,6 @@ __all__ = [
     "gamma_fn",
     "log_gamma",
     "gamma_root",
-    "PNormBall",
     "ball_volume",
     "ball_surface",
     "radius_for_count",
@@ -128,29 +127,6 @@ def gamma_root(x: float, r: int) -> float:
         return gamma_fn(x) ** (1.0 / r)
     except OverflowError:
         return math.exp(log_gamma(x) / r)
-
-
-@dataclass(frozen=True)
-class PNormBall:
-    """A p-norm ball in R^k at desk scale (integer p in 1..4)."""
-
-    k: int
-    p: int
-    r: float
-
-    def __post_init__(self):
-        if self.k < 1:
-            raise ValueError(f"dimension must be >= 1, got {self.k}")
-        if not (1 <= self.p <= 4):
-            raise ValueError(f"norm exponent must be in 1..4, got {self.p}")
-        if self.r < 0:
-            raise ValueError(f"radius must be nonnegative, got {self.r}")
-
-    def volume(self) -> float:
-        return ball_volume(self.k, self.p, self.r)
-
-    def surface(self) -> float:
-        return ball_surface(self.k, self.p, self.r)
 
 
 def ball_volume(k: int, p: int, r: float) -> float:

@@ -19,7 +19,7 @@ import math
 from dataclasses import dataclass
 from typing import Iterator
 
-from .bounds import METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE, lower_bound
+from .bounds import METHOD_TOKENS, lower_bound
 from .errors import BudgetExceededError
 
 __all__ = [
@@ -401,7 +401,7 @@ def bound_vs_search_report(n: int, k: int, budget: int = DEFAULT_NODE_BUDGET) ->
         raise BudgetExceededError("bound audit search", budget + 1, budget)
     baseline = baseline_construction(n, k)
     rows = []
-    for method in (METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE):
+    for method in METHOD_TOKENS:
         report = lower_bound(n, k, method)
         finite = report.finite_bound
         rows.append(

@@ -16,7 +16,6 @@ from dsslab import (
     coeff_third,
     coeff_variance,
     crossover_table,
-    format_crossover_csv,
     lower_bound,
     published_regime,
     regime_disagreements,
@@ -185,12 +184,3 @@ def test_regime_disagreements_pinned():
         (5, METHOD_FIRST, METHOD_THIRD),
         (6, METHOD_VARIANCE, METHOD_THIRD),
     ]
-
-
-def test_crossover_csv_format():
-    text = format_crossover_csv(crossover_table(1, 3))
-    lines = text.split("\n")
-    assert lines[0] == "k,c_first,c_third,c_variance,argmax"
-    assert lines[1].startswith("1,0.626657069,")
-    assert lines[-1] == ""
-    assert text == format_crossover_csv(crossover_table(1, 3))

@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from dsslab import VectorSequence, crossover_table, format_crossover_csv, verify_distinct
+from dsslab import VectorSequence, crossover_table, verify_distinct
 from dsslab.cli import DEFAULT_SEED, build_config, main, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -104,11 +104,32 @@ def test_bounds_single_method_selection():
     assert [row["method"] for row in data["rows"]] == ["variance"]
 
 
+def test_crossover_csv_format():
+    argv = ["crossover", "--k-min", "1", "--k-max", "3", "--format", "csv"]
+    text = run(build_config(argv)).stdout
+    lines = text.split("\n")
+    assert lines[0] == "k,c_first,c_third,c_variance,argmax"
+    assert lines[1].startswith("1,0.626657069,")
+    assert lines[-1] == ""
+    assert text == run(build_config(argv)).stdout
+
+
 def test_crossover_csv_matches_library_rendering(capsys):
     code = main(["crossover", "--k-min", "1", "--k-max", "8", "--format", "csv"])
     captured = capsys.readouterr()
     assert code == 0
-    assert captured.out == format_crossover_csv(crossover_table(1, 8))
+    header, *lines = captured.out.splitlines()
+    assert header == "k,c_first,c_third,c_variance,argmax"
+    table = crossover_table(1, 8)
+    assert len(lines) == len(table)
+    for line, row in zip(lines, table):
+        k, c_first, c_third, c_variance, argmax = line.split(",")
+        assert int(k) == row.k
+        # Nine significant digits in the cell: within 5e-9 relative.
+        for cell, value in zip((c_first, c_third, c_variance),
+                               (row.c_first, row.c_third, row.c_variance)):
+            assert math.isclose(float(cell), value, rel_tol=5e-9), (k, cell, value)
+        assert argmax == row.argmax
     # expected-regime mismatches are narrated on stderr, not stdout
     assert "k=5" in captured.err and "k=6" in captured.err
 
@@ -281,8 +302,11 @@ def test_usage_errors(capsys, good_file):
     assert main(["bounds", "--n", "4", "--k", "0"]) == 2
     assert main(["frobnicate"]) == 2
     assert main(["lattice-check", "--k", "2", "--p", "1"]) == 2
+    assert main(["lattice-check", "--n", "-1", "--k", "2", "--p", "1"]) == 2
+    # --n and --radius select different checks; naming both is refused.
+    assert main(["lattice-check", "--n", "5", "--radius", "3", "--k", "2", "--p", "2"]) == 2
     assert main(["verify", "--file", "/nonexistent/path.seq"]) == 2
-    capsys.readouterr()
+    assert capsys.readouterr().out == ""
 
 
 def test_out_writes_file_instead_of_stdout(tmp_path, capsys):

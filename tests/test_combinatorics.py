@@ -11,7 +11,6 @@ from dsslab import (
     binomial,
     closed_form_s1,
     closed_form_s3,
-    closed_form_s3_even_majorant,
     scaled_abs_moment_sum,
 )
 
@@ -109,14 +108,6 @@ def test_closed_form_s3_odd_branch_large_n():
     # beyond the range the identity suite covers.
     for n in range(65, 1000, 2):
         assert closed_form_s3(n) == Fraction(scaled_abs_moment_sum(n, 3).value, 8), n
-
-
-def test_even_majorant_dominates():
-    for n in range(1, 1000):
-        major = closed_form_s3_even_majorant(n)
-        assert major >= closed_form_s3(n), n
-        if n % 2 == 0:
-            assert major == closed_form_s3(n)
 
 
 def test_normalized_mean_abs_sum_nondecreasing():

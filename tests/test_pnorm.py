@@ -9,7 +9,6 @@ import pytest
 
 from dsslab import (
     BudgetExceededError,
-    PNormBall,
     ball_surface,
     ball_volume,
     gamma_fn,
@@ -111,9 +110,7 @@ def test_surface_is_radial_derivative_of_volume():
 
 def test_ball_validation():
     with pytest.raises(ValueError):
-        PNormBall(0, 2, 1.0)
-    with pytest.raises(ValueError):
-        PNormBall(2, 5, 1.0)
+        ball_volume(0, 2, 1.0)
     with pytest.raises(ValueError):
         ball_volume(2, 2, -1.0)
 
