@@ -288,6 +288,18 @@ def test_report_exit_codes():
     assert main(["report", "--n", "1", "--k", "1", "--out", "/dev/null"]) == 1
 
 
+def test_report_budget_exit_states_partial_search(capsys):
+    # 20 nodes end inside level 7 (levels 5 and 6 take 2 and 11). The
+    # message gives what the partial search knows, not a made-up total.
+    assert main(["report", "--n", "5", "--k", "1", "--budget", "20"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == (
+        "budget exceeded: bound audit search spent 20 nodes, every M < 7 is refuted,"
+        " no minimum yet: budget is 20\n"
+    )
+
+
 def test_report_json_rows():
     res = run(build_config(["report", "--n", "1", "--k", "1", "--format", "json"]))
     data = json.loads(res.stdout)

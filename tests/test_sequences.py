@@ -6,6 +6,8 @@ import itertools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_sequence, subset_total
 from dsslab import (
@@ -19,6 +21,7 @@ from dsslab import (
     verify_distinct,
     verify_distinct_by_sorting,
 )
+from dsslab.sequences import _bruteforce_level, _NodeBudget, _search_level
 
 
 def test_sequence_validation():
@@ -156,12 +159,101 @@ def test_search_trivial_empty_sequence():
     assert out.witness.vectors == ()
 
 
+# Cells that the pruning-free oracle finishes in well under a second, with
+# their minima, up to the largest cells SEARCH_LIMITS admits for k = 2, 3, 4.
+ORACLE_CELLS = {
+    (1, 1): 1, (2, 1): 2, (3, 1): 4, (3, 2): 2, (2, 2): 1,
+    (6, 2): 4, (5, 3): 2, (6, 3): 2, (7, 3): 2, (4, 4): 1, (5, 4): 1, (6, 4): 2,
+}
+
+
 def test_search_matches_bruteforce_oracle():
-    for n, k in ((1, 1), (2, 1), (3, 1), (3, 2), (2, 2)):
+    for (n, k), m in ORACLE_CELLS.items():
         pruned = min_m_search(n, k)
         brute = min_m_search(n, k, prune=False)
-        assert pruned.m_min == brute.m_min, (n, k)
+        assert pruned.m_min == brute.m_min == m, (n, k)
+        assert pruned.exhaustive and brute.exhaustive
+        assert verify_distinct(pruned.witness) is None
         assert verify_distinct(brute.witness) is None
+
+
+# (m_min, nodes, witness) of every cell of the benchmark's search sweep,
+# pinned from the earlier set-based search: any change to the collision test
+# must walk the same tree in the same order.
+SWEEP_PINNED = {
+    (1, 1): (1, 1, ((1,),)),
+    (2, 1): (2, 2, ((1,), (2,))),
+    (3, 1): (4, 7, ((1,), (2,), (4,))),
+    (4, 1): (7, 93, ((3,), (5,), (6,), (7,))),
+    (5, 1): (13, 2010, ((3,), (6,), (11,), (12,), (13,))),
+    (6, 1): (24, 135264, ((11,), (17,), (20,), (22,), (23,), (24,))),
+    (1, 2): (1, 1, ((0, 1),)),
+    (2, 2): (1, 2, ((0, 1), (1, 0))),
+    (3, 2): (2, 6, ((0, 1), (0, 2), (1, 0))),
+    (4, 2): (2, 6, ((0, 1), (0, 2), (1, 0), (2, 0))),
+    (5, 2): (3, 138, ((0, 1), (0, 2), (1, 1), (2, 3), (3, 0))),
+    (1, 3): (1, 1, ((0, 0, 1),)),
+    (2, 3): (1, 2, ((0, 0, 1), (0, 1, 0))),
+    (3, 3): (1, 4, ((0, 0, 1), (0, 1, 0), (1, 0, 0))),
+    (4, 3): (1, 19, ((0, 0, 1), (0, 1, 1), (1, 0, 1), (1, 1, 0))),
+    (1, 4): (1, 1, ((0, 0, 0, 1),)),
+    (2, 4): (1, 2, ((0, 0, 0, 1), (0, 0, 1, 0))),
+    (3, 4): (1, 4, ((0, 0, 0, 1), (0, 0, 1, 0), (0, 1, 0, 0))),
+}
+
+
+def test_search_sweep_walks_pinned_tree():
+    for (n, k), (m, nodes, vectors) in SWEEP_PINNED.items():
+        out = min_m_search(n, k)
+        assert (out.m_min, out.nodes, out.witness.vectors) == (m, nodes, vectors), (n, k)
+        assert out.exhaustive and out.refuted_below == m
+
+
+# min_m_search(5, 1, budget=b) trips at level refuted_below after exactly b
+# nodes; these are the first budgets at which each level is reached (levels
+# 1..4 hold no increasing 5-sequence, so they cost no node).
+BUDGET_TRIPS_5_1 = ((1, 5), (3, 6), (14, 7), (41, 8), (98, 9), (212, 10))
+
+
+def test_search_budget_trip_points_are_pinned():
+    for b in range(1, 301):
+        level = max(m for first, m in BUDGET_TRIPS_5_1 if first <= b)
+        out = min_m_search(5, 1, budget=b)
+        assert (out.refuted_below, out.nodes, out.exhaustive) == (level, b, False), b
+        assert out.m_min is None and out.witness is None
+
+
+# Lunnon's minima for k = 1 (Math. Comp. 50, 1988), n = 1..7.
+LUNNON_K1 = (1, 2, 4, 7, 13, 24, 44)
+
+
+def test_search_reproduces_lunnon_minima():
+    for n, m in enumerate(LUNNON_K1[:-1], start=1):
+        assert min_m_search(n, 1).m_min == m, n
+
+
+def test_search_frontier_cell_7_1():
+    out = min_m_search(7, 1)
+    assert out.m_min == LUNNON_K1[6] == 44
+    assert out.exhaustive and out.refuted_below == 44
+    assert out.nodes == 18_083_382
+    assert out.witness.vectors == ((20,), (31,), (37,), (40,), (42,), (43,), (44,))
+    assert verify_distinct(out.witness) is None
+
+
+@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
+def test_level_search_agrees_with_bruteforce(n, k, m):
+    # One level at a time: both must agree on whether [0, m]^k holds a
+    # distinct-sum n-sequence, whatever the levels below would say.
+    pruned = _search_level(n, k, m, _NodeBudget(10**6))
+    brute = _bruteforce_level(n, k, m, _NodeBudget(10**6))
+    assert (pruned is None) == (brute is None)
+    for found in (pruned, brute):
+        if found is not None:
+            indices, candidates = found
+            vectors = tuple(candidates[i] for i in indices)
+            assert verify_distinct(VectorSequence(n, k, m, vectors)) is None
 
 
 def test_search_witness_is_permutation_canonical():
@@ -183,8 +275,10 @@ def test_search_budget_gives_partial_outcome():
 
 
 def test_search_validation():
-    with pytest.raises(ValueError):
-        min_m_search(SEARCH_LIMITS[1] + 1, 1)
+    assert SEARCH_LIMITS == {1: 7, 2: 6, 3: 7, 4: 6}
+    for k, limit in SEARCH_LIMITS.items():
+        with pytest.raises(ValueError):
+            min_m_search(limit + 1, k)
     with pytest.raises(ValueError):
         min_m_search(2, 5)
     with pytest.raises(ValueError):
