@@ -10,10 +10,20 @@ their exact p-power-norm sum against the continuum prediction
 The quotient of the two (`continuum_ratio`) measures how well the
 continuum approximation does at finite n; it is exactly 1 in the k = p = 1
 case and approaches 1 elsewhere.
+
+The shell is never built point by point. The first k - 1 coordinates run
+over the orthant [0, t]^(k-1), each point weighted by its sign images,
+and the last coordinate is settled in closed form: an exact integer p-th
+root counts the ball, and Faulhaber's formula sums its norms. Memory is
+O((t + 1)^(k-1)) per query, while the budget still counts the nominal
+points of the box [-t, t]^k, so every limit is that of a full box.
+`lattice_shell_points` keeps the pure-Python full-box loop as the
+independent oracle.
 """
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass
@@ -199,34 +209,125 @@ def _validate_lattice_args(k: int, p: int) -> None:
         raise ValueError(f"norm exponent must be a positive integer, got {p}")
 
 
-def _box_norms(t: int, k: int, p: int) -> np.ndarray:
-    """p-power norms of every point of the box [-t, t]^k, as exact int64.
-
-    The largest norm is k * t^p. When that does not fit in int64 the box is
-    refused with BudgetExceededError before anything is allocated. Only a
-    single norm has to fit: lattice_shell_enumerate adds the selected norms
-    up exactly.
-    """
+def _check_int64_norms(t: int, k: int, p: int) -> None:
+    """Refuse a box [-t, t]^k whose largest p-power norm k * t^p passes int64."""
     largest = k * t**p
     if largest > _INT64_MAX:
         raise BudgetExceededError("int64 lattice norms", largest, _INT64_MAX)
-    side = np.abs(np.arange(-t, t + 1, dtype=np.int64)) ** p
-    norms = side
-    for _ in range(k - 1):
-        norms = (norms[:, None] + side[None, :]).ravel()
-    return norms
 
 
-def _grow_box(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, np.ndarray]:
+def _iroot(x: np.ndarray, p: int, t: int) -> np.ndarray:
+    """min(floor(x^(1/p)), t) elementwise, exactly, for int64 x >= 0 and t^p < 2^63.
+
+    A float estimate is settled by integer steps. Raising a candidate to
+    y + 1 happens only while y < t, so no power beyond t^p is formed and
+    nothing wraps. At p = 1 the root is x itself: a double cannot hold
+    every int64 above 2^53.
+    """
+    if p == 1:
+        return np.minimum(x, t)
+    y = np.minimum(np.floor(x.astype(np.float64) ** (1.0 / p)).astype(np.int64), t)
+    while (over := y**p > x).any():
+        y -= over
+    while True:
+        up = np.minimum(y + 1, t)
+        under = (up > y) & (up**p <= x)
+        if not under.any():
+            return y
+        y += under
+
+
+def _orthant_slice(t: int, k: int, p: int, cutoff: int) -> tuple[np.ndarray, np.ndarray]:
+    """Norms and sign weights of the points of [0, t]^(k-1) with norm^p <= cutoff.
+
+    Each orthant point stands for its 2^(nonzero coordinates) sign images,
+    which share its norm. For k = 1 the slice is the single empty point.
+    Every norm is at most (k - 1) * t^p, so int64 holds it under the
+    k * t^p guard of _grow_box.
+    """
+    norms = np.zeros(1, dtype=np.int64)
+    weights = np.ones(1, dtype=np.int64)
+    if k > 1:
+        side = np.arange(t + 1, dtype=np.int64) ** p
+        side_weights = np.full(t + 1, 2, dtype=np.int64)
+        side_weights[0] = 1
+        for _ in range(k - 1):
+            norms = (norms[:, None] + side[None, :]).ravel()
+            weights = (weights[:, None] * side_weights[None, :]).ravel()
+            keep = norms <= cutoff
+            norms, weights = norms[keep], weights[keep]
+    return norms, weights
+
+
+def _ball_count(orthant: tuple[np.ndarray, np.ndarray], v: int, p: int, t: int) -> int:
+    """#{x in [-t, t]^k : ||x||_p^p <= v}, v <= the slice's cutoff.
+
+    Fixing the first k - 1 coordinates leaves |y| <= (v - norm')^(1/p) for
+    the last one: sum of w * (2 * floor((v - norm')^(1/p)) + 1). The
+    doubling and the + 1 are done on Python ints: the int64 sum of w * root
+    is at most half the count, so a k = 1 count may pass 2^63. For
+    v <= t^p the box holds the whole ball.
+    """
+    norms, weights = orthant
+    keep = norms <= v
+    weights = weights[keep]
+    return 2 * int(weights @ _iroot(v - norms[keep], p, t)) + int(weights.sum())
+
+
+@functools.cache
+def _faulhaber(p: int) -> tuple[tuple[int, ...], int]:
+    """Integer coefficients (highest degree first) and denominator of F_p.
+
+    F_p(y) = 1^p + ... + y^p = (1/(p+1)) sum_j C(p+1, j) B_j y^(p+1-j),
+    with the Bernoulli numbers B_j held as Fractions and B_1 = +1/2.
+    """
+    bernoulli = [Fraction(1)]
+    for m in range(1, p + 1):
+        bernoulli.append(-sum(math.comb(m + 1, j) * bernoulli[j] for j in range(m)) / (m + 1))
+    bernoulli[1] = -bernoulli[1]
+    coeffs = [math.comb(p + 1, j) * bernoulli[j] / (p + 1) for j in range(p + 1)] + [Fraction(0)]
+    denominator = math.lcm(*(c.denominator for c in coeffs))
+    return tuple(int(c * denominator) for c in coeffs), denominator
+
+
+def _power_sum(y: int, p: int) -> int:
+    """F_p(y) = 1^p + 2^p + ... + y^p as an exact Python int (Faulhaber)."""
+    coeffs, denominator = _faulhaber(p)
+    acc = 0
+    for c in coeffs:
+        acc = acc * y + c
+    return acc // denominator
+
+
+def _ball_norm_sum(orthant: tuple[np.ndarray, np.ndarray], v: int, k: int, p: int, t: int) -> int:
+    """Exact sum of ||x||_p^p over x in [-t, t]^k with ||x||_p^p <= v.
+
+    The ball is symmetric under coordinate permutations, so the sum is k
+    times that of |x_k|^p alone, and over |y| <= Y the last coordinate
+    contributes 2 * F_p(Y). Python ints keep the total exact (k = 1,
+    p = 3 totals reach 2^79).
+    """
+    norms, weights = orthant
+    keep = norms <= v
+    roots, where = np.unique(_iroot(v - norms[keep], p, t), return_inverse=True)
+    per_root = np.zeros(roots.size, dtype=np.int64)
+    np.add.at(per_root, where, weights[keep])
+    return 2 * k * sum(w * _power_sum(y, p) for y, w in zip(roots.tolist(), per_root.tolist()))
+
+
+def _grow_box(
+    n: int, k: int, p: int, budget: int, what: str
+) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
     """First box side t on the growth path whose t-ball holds 2^n points.
 
-    Returns t and the p-power norms of the points in that t-ball.
+    Returns t and the orthant slice at cutoff t^p (see _orthant_slice).
 
     Boxes [-t, t]^k grow from just past the continuum radius by half their
-    side per step, keeping points with norm^p <= t^p; any lattice point
-    with p-norm <= t lies inside the box, so each kept ball is complete.
-    The budget counts box points cumulatively across growth steps and is
-    checked before each box is built.
+    side per step; any lattice point with p-norm <= t lies inside the box,
+    so the t-ball's count is exact. The budget counts the nominal box
+    points cumulatively across growth steps and is checked first, then the
+    int64 guard on the largest box norm k * t^p; only then is the slice of
+    O((t + 1)^(k - 1)) entries built.
     """
     count = 1 << n
     spent = 0
@@ -235,10 +336,10 @@ def _grow_box(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, np.n
         spent += (2 * t + 1) ** k
         if spent > budget:
             raise BudgetExceededError(what, spent, budget)
-        norms = _box_norms(t, k, p)
-        inside = norms[norms <= t**p]
-        if inside.size >= count:
-            return t, inside
+        _check_int64_norms(t, k, p)
+        orthant = _orthant_slice(t, k, p, t**p)
+        if _ball_count(orthant, t**p, p, t) >= count:
+            return t, orthant
         t += max(1, t // 2)
 
 
@@ -247,25 +348,29 @@ def lattice_shell_enumerate(
 ) -> LatticeShellSummary:
     """Select the 2^n points of Z^k closest to the origin in p-norm.
 
-    Ties on the boundary shell contribute count * v* to the sum, so no
-    per-point tie-break is needed here (the points path below realizes the
-    deterministic order when identities matter). Budget counts candidate
-    box points, cumulative across growth steps (see _grow_box).
+    The boundary norm v* is the least v with ball count >= 2^n, found by
+    integer bisection on [0, t^p]; the points below it are summed in
+    closed form and the ties on the boundary shell contribute
+    (2^n - below) * v*, so no per-point tie-break is needed here (the
+    points path below realizes the deterministic order when identities
+    matter). Budget counts the nominal box points, cumulative across
+    growth steps (see _grow_box).
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    _, inside = _grow_box(n, k, p, budget, "lattice box enumeration")
+    t, orthant = _grow_box(n, k, p, budget, "lattice box enumeration")
     count = 1 << n
-    inside = np.sort(inside)
-    vstar = int(inside[count - 1])
-    below = int(np.searchsorted(inside[:count], vstar, side="left"))
-    # The total can pass 2^63 (k = 1, p = 3 reaches about 2^79), so the
-    # nonnegative norms are summed as high and low 32-bit halves; neither
-    # partial sum can wrap below 2^31 entries.
-    sel = inside[:below]
-    total = (int((sel >> 32).sum()) << 32) + int((sel & 0xFFFFFFFF).sum())
-    total += (count - below) * vstar
+    lo, hi = -1, t**p
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        if _ball_count(orthant, mid, p, t) >= count:
+            hi = mid
+        else:
+            lo = mid
+    vstar = hi
+    below = _ball_count(orthant, vstar - 1, p, t)
+    total = _ball_norm_sum(orthant, vstar - 1, k, p, t) + (count - below) * vstar
     r_cont = radius_for_count(n, k, p)
     if n == 0:
         ratio = None
@@ -320,12 +425,11 @@ def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUD
     box = (2 * t + 1) ** k
     if box > budget:
         raise BudgetExceededError("lattice count enumeration", box, budget)
-    if r == math.floor(r):
-        cutoff = int(r) ** p
-    else:
-        # boundary shells sit at integer norms; nudge past float powering error
-        cutoff = math.floor(r**p * (1.0 + 1e-12))
-    count = int((_box_norms(t, k, p) <= cutoff).sum())
+    _check_int64_norms(t, k, p)
+    # Norms are integers, so the exact floor of r^p is the cutoff. Every
+    # point of the r-ball lies in [-t, t]^k, whose norms stop at k * t^p.
+    cutoff = min(math.floor(Fraction(r) ** p), k * t**p)
+    count = _ball_count(_orthant_slice(t, k, p, cutoff), cutoff, p, t)
     vol = ball_volume(k, p, r)
     return abs(count - vol) / vol
 
@@ -335,7 +439,7 @@ def max_enumerable_n(k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
 
     Grows the same boxes as lattice_shell_enumerate with increasing n until
     the budget or the norm guard trips, so the answer is exactly consistent
-    with it, without sorting or summing any shell.
+    with it, without locating or summing any shell.
     """
     _validate_lattice_args(k, p)
     n = 0

@@ -5,10 +5,14 @@ from __future__ import annotations
 import itertools
 import math
 
+import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from dsslab import (
     BudgetExceededError,
+    LatticeShellSummary,
     ball_surface,
     ball_volume,
     gamma_fn,
@@ -20,6 +24,7 @@ from dsslab import (
     max_enumerable_n,
     radius_for_count,
 )
+from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _ball_count, _ball_norm_sum, _iroot, _orthant_slice, _power_sum
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -237,20 +242,66 @@ def test_points_norm_multiset_ignores_tie_breaking():
     assert sorted(norm for norm, _ in ranked) == sorted(norm for _, norm in pts)
 
 
+# The 9 (k, p, n_max) cells of the benchmark's shell round, summarised by
+# the box-array core this module used to build (the full box [-t, t]^k,
+# filtered and sorted), as literals: the slice core must reproduce every
+# field, floats included.
+PINNED_SHELLS = (
+    LatticeShellSummary(n=21, k=1, p=1, count=2097152, discrete_sum=1099511627776, boundary_norm_power=1048576, r_discrete=1048576.0, r_continuous=1048576.0, continuum_ratio=1.0),
+    LatticeShellSummary(n=21, k=1, p=2, count=2097152, discrete_sum=768614336404914176, boundary_norm_power=1099511627776, r_discrete=1048576.0, r_continuous=1048576.0, continuum_ratio=1.0000000000004547),
+    LatticeShellSummary(n=21, k=1, p=3, count=2097152, discrete_sum=604462909807864343166976, boundary_norm_power=1152921504606846976, r_discrete=1048575.9999999992, r_continuous=1048576.0, continuum_ratio=1.0000000000009095),
+    LatticeShellSummary(n=20, k=2, p=1, count=1048576, discrete_sum=506166500, boundary_norm_power=724, r_discrete=724.0, r_continuous=724.0773439350247, continuum_ratio=0.9999995060995052),
+    LatticeShellSummary(n=21, k=2, p=2, count=2097152, discrete_sum=699970851480, boundary_norm_power=667556, r_discrete=817.0410026430742, r_continuous=817.0337902621343, continuum_ratio=1.0000000132716012),
+    LatticeShellSummary(n=21, k=2, p=3, count=2097152, discrete_sum=383590746672252, boundary_norm_power=457256000, r_discrete=770.4062622531702, r_continuous=770.4173959020397, continuum_ratio=0.999999954688571),
+    LatticeShellSummary(n=19, k=3, p=1, count=524288, discrete_sum=28803391, boundary_norm_power=73, r_discrete=73.0, r_continuous=73.26171152341323, continuum_ratio=0.9998512147172822),
+    LatticeShellSummary(n=20, k=3, p=2, count=1048576, discrete_sum=2498959542, boundary_norm_power=3974, r_discrete=63.03967004989794, r_continuous=63.0236813979326, continuum_ratio=1.0000012096283006),
+    LatticeShellSummary(n=21, k=3, p=3, count=2097152, discrete_sum=386022093895, boundary_norm_power=368027, r_discrete=71.6627099552217, r_continuous=71.67017739021986, continuum_ratio=0.9999926563711703),
+)
+
+# max_enumerable_n(k, p, budget) for k = 1..4 (rows) and p = 1..5
+# (columns), pinned from the box-array core.
+PINNED_MAX_N = {
+    10**4: ((13, 13, 13, 13, 13), (12, 12, 12, 13, 13), (9, 11, 12, 12, 12), (5, 8, 9, 9, 9)),
+    2**22: ((21, 21, 21, 16, 13), (20, 21, 21, 21, 21), (19, 20, 21, 21, 21), (16, 19, 20, 21, 21)),
+}
+
+
+def test_shell_cells_reproduce_pinned_summaries():
+    for pinned in PINNED_SHELLS:
+        assert lattice_shell_enumerate(pinned.n, pinned.k, pinned.p) == pinned
+
+
+def test_max_enumerable_n_reproduces_pinned_table():
+    for budget, rows in PINNED_MAX_N.items():
+        for k, row in enumerate(rows, start=1):
+            for p, n_max in enumerate(row, start=1):
+                assert max_enumerable_n(k, p, budget) == n_max, (k, p, budget)
+
+
 def test_shell_budget_error_reports_need():
+    # Every (needed, budget) pinned from the box-array core this module
+    # used to build, so the growth rule, its budget and its guard are
+    # known to be unchanged.
     with pytest.raises(BudgetExceededError) as info:
         lattice_shell_enumerate(12, 2, 2, budget=100)
-    assert info.value.budget == 100
-    assert info.value.needed > 100
+    assert (info.value.needed, info.value.budget) == (5929, 100)
     with pytest.raises(BudgetExceededError) as info:
         lattice_shell_points(12, 2, 2, budget=100)
-    assert info.value.budget == 100
-    assert info.value.needed > 100
+    assert (info.value.needed, info.value.budget) == (5929, 100)
     # A single norm k * t^p must fit in int64; 33^25 and 40^25 do not.
-    with pytest.raises(BudgetExceededError):
+    with pytest.raises(BudgetExceededError) as info:
         lattice_shell_enumerate(6, 1, 25)
-    with pytest.raises(BudgetExceededError):
+    assert (info.value.needed, info.value.budget) == (33**25, 2**63 - 1)
+    with pytest.raises(BudgetExceededError) as info:
         lattice_count_check(1, 25, 40.0)
+    assert (info.value.needed, info.value.budget) == (40**25, 2**63 - 1)
+    with pytest.raises(BudgetExceededError) as info:
+        lattice_shell_enumerate(17, 1, 4)
+    assert (info.value.needed, info.value.budget) == ((2**16 + 1) ** 4, 2**63 - 1)
+    # The budget is checked before the int64 guard.
+    with pytest.raises(BudgetExceededError) as info:
+        lattice_shell_enumerate(17, 1, 4, budget=1000)
+    assert (info.value.needed, info.value.budget) == (2**17 + 3, 1000)
     # At k = 1, p = 4 the guard trips from n = 17 (t = 2^16 + 1), well
     # inside the default budget, and max_enumerable_n stops there too.
     assert max_enumerable_n(1, 4) == 16
@@ -263,6 +314,112 @@ def test_max_enumerable_n_is_tight():
         lattice_shell_enumerate(n, k, p, budget=10**4)
         with pytest.raises(BudgetExceededError):
             lattice_shell_enumerate(n + 1, k, p, budget=10**4)
+
+
+_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
+
+
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError as err:
+        return (err.needed, err.budget)
+
+
+@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@given(
+    st.integers(0, 9), st.integers(1, 4), st.integers(1, 5),
+    st.one_of(st.integers(1, 5 * 10**4), st.just(DEFAULT_ENUM_BUDGET)),
+)
+def test_shell_summary_matches_points_oracle(n, k, p, budget):
+    summary = _outcome(lattice_shell_enumerate, n, k, p, budget=budget)
+    points = _outcome(lattice_shell_points, n, k, p, budget=budget)
+    if isinstance(points, tuple):
+        assert summary == points
+        return
+    assert summary.count == len(points) == 2**n
+    assert summary.discrete_sum == sum(norm for _, norm in points)
+    assert summary.boundary_norm_power == points[-1][1]
+
+
+@_PROPERTY
+@given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 4), st.data())
+def test_ball_count_matches_product_tally(k, p, t, data):
+    v = data.draw(st.integers(-1, k * t**p))
+    norms = [
+        sum(abs(c) ** p for c in point)
+        for point in itertools.product(range(-t, t + 1), repeat=k)
+    ]
+    inside = [norm for norm in norms if norm <= v]
+    slice_ = _orthant_slice(t, k, p, max(v, 0))
+    assert _ball_count(slice_, v, p, t) == len(inside)
+    assert _ball_norm_sum(slice_, v, k, p, t) == sum(inside)
+
+
+def _root_oracle(x: int, p: int, t: int) -> int:
+    lo, hi = 0, t
+    while lo < hi:
+        mid = (lo + hi + 1) // 2
+        if mid**p <= x:
+            lo = mid
+        else:
+            hi = mid - 1
+    return lo
+
+
+@st.composite
+def _root_cases(draw):
+    p = draw(st.integers(1, 25))
+    k = draw(st.integers(1, 8))
+    # The largest t passing the k * t^p < 2^63 guard, or any t below it.
+    t_max = _root_oracle((2**63 - 1) // k, p, 2**63 - 1)
+    t = draw(st.one_of(st.just(t_max), st.integers(0, t_max)))
+    y = draw(st.integers(0, t))
+    edges = [0, t**p, max(t**p - 1, 0), y**p, max(y**p - 1, 0), 2**63 - 1]
+    free = draw(st.lists(st.integers(0, 2**63 - 1), max_size=4))
+    inside = draw(st.lists(st.integers(0, t**p), max_size=4))
+    return p, t, edges + free + inside
+
+
+@_PROPERTY
+@given(_root_cases())
+def test_iroot_matches_integer_oracle(case):
+    p, t, xs = case
+    got = _iroot(np.array(xs, dtype=np.int64), p, t)
+    assert got.tolist() == [_root_oracle(x, p, t) for x in xs]
+
+
+def test_iroot_is_exact_past_double_precision():
+    # p = 1 above 2^53, where a double rounds x, and p = 2, 3 roots of
+    # squares and cubes at the top of the int64 range.
+    xs = [2**53 + 1, 2**62 + 3, 2**63 - 1]
+    assert _iroot(np.array(xs, dtype=np.int64), 1, 2**63 - 1).tolist() == xs
+    r2 = math.isqrt(2**63 - 1)
+    xs = [r2**2 - 1, r2**2, 2**63 - 1]
+    assert _iroot(np.array(xs, dtype=np.int64), 2, r2).tolist() == [r2 - 1, r2, r2]
+    r3 = 2097151  # the largest cube root below 2^63
+    xs = [r3**3 - 1, r3**3, 2**63 - 1]
+    assert _iroot(np.array(xs, dtype=np.int64), 3, r3).tolist() == [r3 - 1, r3, r3]
+
+
+def test_power_sum_matches_direct_sum():
+    for p in range(1, 26):
+        for y in range(0, 40):
+            assert _power_sum(y, p) == sum(i**p for i in range(1, y + 1)), (p, y)
+
+
+def test_shell_budget_beyond_memory_is_reachable():
+    # The box [-t, t] here has 2^60 + 3 points; the shell comes from the
+    # one-point slice and Faulhaber's closed form instead of an array.
+    m = 2**59
+    s = lattice_shell_enumerate(60, 1, 1, budget=2**62)
+    assert s.discrete_sum == 2 * _power_sum(m - 1, 1) + m == m * m
+    assert s.boundary_norm_power == m
+    assert s.continuum_ratio == 1.0
+    # At n = 63 the count 2^63 + 3 of the first box passes int64.
+    m = 2**62
+    s = lattice_shell_enumerate(63, 1, 1, budget=2**64)
+    assert (s.discrete_sum, s.boundary_norm_power) == (m * m, m)
 
 
 def test_lattice_args_validated():
@@ -280,6 +437,16 @@ def test_count_check_examples():
     assert abs(lattice_count_check(2, 1, 20.0) - 41.0 / 800.0) < 1e-12
     assert lattice_count_check(2, 2, 50.0) < 0.02
     assert lattice_count_check(1, 1, 10.5) == 0.0
+
+
+def test_count_check_cutoff_is_exact():
+    # r^2 = 24.999999999999990... < 25, so the 8 points of norm 25 in
+    # [-4, 4]^2 ((+-3, +-4), (+-4, +-3)) lie outside the ball.
+    r = 4.999999999999999
+    count = sum(1 for x, y in itertools.product(range(-4, 5), repeat=2) if x * x + y * y < 25)
+    vol = ball_volume(2, 2, r)
+    assert lattice_count_check(2, 2, r) == abs(count - vol) / vol
+    assert abs(lattice_count_check(2, 2, r) - 0.1215) < 1e-4
 
 
 def test_count_check_shrinks_with_radius():
