@@ -15,9 +15,7 @@ from .bounds import (
     BoundReport,
     MethodComparison,
     best_method,
-    coeff_first,
-    coeff_third,
-    coeff_variance,
+    coeff,
     crossover_table,
     lower_bound,
     published_regime,
@@ -25,7 +23,6 @@ from .bounds import (
 )
 from .combinatorics import (
     ScaledMomentSum,
-    binomial,
     closed_form_s1,
     closed_form_s3,
     scaled_abs_moment_sum,

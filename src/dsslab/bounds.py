@@ -2,28 +2,41 @@
 
 Three statistical routes give lower bounds of the common shape
 
-    M >= (1 + o(1)) * c(k) * 2^(n/k) / sqrt(n)
+    M >= (1 + o(1)) * c_p(k) * 2^(n/k) / sqrt(n)
 
 for length-n sequences in Z^k with all subset sums distinct. Each route
-bounds a different moment of the signed sum X = sum eps_i a_i / 2 with
-random signs: the first absolute moment, the third absolute moment, and
-the variance. This module evaluates the three coefficients c(k), the
-asymptotic bounds, and finite-n counterparts of the first two routes, and
-picks the numerically best method per dimension.
+bounds the p-th absolute moment E||X||_p^p of the signed sum
+X = sum eps_i a_i / 2 with random signs, and the three are one formula
+at the orders p = 1 (first moment), p = 2 (variance) and p = 3 (third
+moment):
+
+    c_p(k) = Gamma(1 + k/p)^(1/k)
+             / (Gamma(1 + 1/p) * (k + p)^(1/p) * (E|Z|^p)^(1/p)),
+    E|Z|^p = 2^(p/2) * Gamma((p + 1)/2) / sqrt(pi)   (Z standard normal).
+
+The finite-n counterpart, given for the first and third moments, replaces
+the normal moment by the exact sum T_p(n) = 2^p * S_p(n) of
+combinatorics.scaled_abs_moment_sum:
+
+    M >= R * (2^(n+p) / ((k + p) * T_p(n)))^(1/p),   R = radius_for_count(n, k, p).
+
+This module evaluates c_p(k), the asymptotic and finite bounds, and picks
+the numerically best method per dimension.
 
 The finite-n forms are heuristic, so they are reported alongside the
 asymptotic bound, never instead of it. The moment sums T_p(n) on the
 sequence side are exact; the heuristic step is the lattice side, which
-uses the continuum term (k/(k+p)) * 2^n * R^p (R from radius_for_count) in
-place of the discrete minimum of sum ||x||_p^p over 2^n distinct points of
-the half-integer coset of Z^k that the values of X lie in. That term can
-exceed the true minimum: at k = 1, p = 3 it exceeds the minimum over
-Z + 1/2 by 2^(2n)/16, a factor 2 at n = 1, where the third-moment
-finite form is 2^(1/3) while the true minimal M is 1.
+uses the continuum term (k/(k+p)) * 2^n * R^p in place of the discrete
+minimum of sum ||x||_p^p over 2^n distinct points of the half-integer
+coset of Z^k that the values of X lie in. That term can exceed the true
+minimum: at k = 1, p = 3 it exceeds the minimum over Z + 1/2 by
+2^(2n)/16, a factor 2 at n = 1, where the third-moment finite form is
+2^(1/3) while the true minimal M is 1.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 
@@ -35,9 +48,7 @@ __all__ = [
     "METHOD_THIRD",
     "METHOD_VARIANCE",
     "METHOD_TOKENS",
-    "coeff_first",
-    "coeff_third",
-    "coeff_variance",
+    "coeff",
     "BoundReport",
     "lower_bound",
     "MethodComparison",
@@ -52,8 +63,9 @@ METHOD_THIRD = "third_moment"
 METHOD_VARIANCE = "variance"
 METHOD_TOKENS = (METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE)
 
-# Methods by moment order (1, 2, 3); ties in best_method break toward lower p.
-_METHOD_ORDER = (METHOD_FIRST, METHOD_VARIANCE, METHOD_THIRD)
+# Moment order p of each method. Insertion order is the tie-break order of
+# best_method: ties go to the lower p.
+_ORDER = {METHOD_FIRST: 1, METHOD_VARIANCE: 2, METHOD_THIRD: 3}
 
 
 def _check_k(k: int) -> None:
@@ -61,43 +73,33 @@ def _check_k(k: int) -> None:
         raise ValueError(f"dimension must be >= 1, got {k}")
 
 
-def coeff_first(k: int) -> float:
-    """First-moment coefficient sqrt(pi/2) * (k!)^(1/k) / (k + 1)."""
-    _check_k(k)
-    return math.sqrt(math.pi / 2.0) * gamma_root(k + 1.0, k) / (k + 1)
+@functools.cache
+def _k_free_factor(p: int) -> float:
+    """Gamma(1 + 1/p) * (E|Z|^p)^(1/p), the part of c_p(k) without k."""
+    normal_moment = 2.0 ** (p / 2.0) * gamma_fn((p + 1.0) / 2.0) / math.sqrt(math.pi)
+    return gamma_fn(1.0 + 1.0 / p) * normal_moment ** (1.0 / p)
 
 
-def coeff_third(k: int) -> float:
-    """Third-moment coefficient (pi/8)^(1/6) * Gamma((k+3)/3)^(1/k) / ((k+3)^(1/3) * Gamma(4/3))."""
-    _check_k(k)
-    lead = (math.pi / 8.0) ** (1.0 / 6.0)
-    return lead * gamma_root((k + 3.0) / 3.0, k) / ((k + 3.0) ** (1.0 / 3.0) * gamma_fn(4.0 / 3.0))
+def coeff(p: int, k: int) -> float:
+    """The order-p coefficient c_p(k) (module docstring) for dimension k.
 
-
-def coeff_variance(k: int) -> float:
-    """Variance coefficient sqrt(4 / (pi (k + 2))) * Gamma(k/2 + 1)^(1/k).
-
-    Strictly decreasing in k, from 3^(-1/2) at k = 1 down toward the
-    Stirling limit sqrt(2/(e*pi)).
+    p = 1, 2, 3 give the first-moment, variance and third-moment
+    coefficients. The variance one, c_2(k), is strictly decreasing in k,
+    from 3^(-1/2) at k = 1 down toward the Stirling limit sqrt(2/(e*pi)).
     """
     _check_k(k)
-    return math.sqrt(4.0 / (math.pi * (k + 2.0))) * gamma_root(k / 2.0 + 1.0, k)
-
-
-_COEFF_FN = {
-    METHOD_FIRST: coeff_first,
-    METHOD_THIRD: coeff_third,
-    METHOD_VARIANCE: coeff_variance,
-}
+    if p < 1:
+        raise ValueError(f"moment order must be >= 1, got {p}")
+    return gamma_root(1.0 + k / p, k) / (_k_free_factor(p) * (k + p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
 class BoundReport:
     """One method's lower bound on M for a given (n, k).
 
-    coefficient is c(k); asymptotic_bound is c(k) * 2^(n/k) / sqrt(n) when
-    n is given. finite_bound is the finite-n form, populated for the first-
-    and third-moment methods only. It is heuristic because it uses the
+    coefficient is c_p(k); asymptotic_bound is c_p(k) * 2^(n/k) / sqrt(n).
+    finite_bound is the finite-n form, populated for the first- and
+    third-moment methods only. It is heuristic because it uses the
     continuum lattice term in place of the discrete minimum, which can
     overshoot (2^(1/3) against M_min = 1 at n = k = 1 for the third moment;
     see module docstring).
@@ -111,44 +113,28 @@ class BoundReport:
     finite_bound: float | None
 
 
-def _finite_first(n: int, k: int) -> float:
-    r = radius_for_count(n, k, 1)
-    denom = (k + 1) * n * math.comb(n - 1, (n - 1) // 2)
-    return r * (2.0**n) / float(denom)
-
-
-def _finite_third(n: int, k: int) -> float:
-    r = radius_for_count(n, k, 3)
-    t3 = scaled_abs_moment_sum(n, 3).value
-    return r * (2.0 ** (n + 3) / ((k + 3) * float(t3))) ** (1.0 / 3.0)
+def _finite(n: int, k: int, p: int) -> float:
+    t_p = scaled_abs_moment_sum(n, p).value
+    return radius_for_count(n, k, p) * (2.0 ** (n + p) / ((k + p) * float(t_p))) ** (1.0 / p)
 
 
 def lower_bound(n: int, k: int, method: str) -> BoundReport:
     """Lower bound on M for length-n sequences in Z^k via one method."""
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
-    _check_k(k)
-    if method not in _COEFF_FN:
+    if method not in _ORDER:
         raise ValueError(f"unknown method {method!r}, expected one of {METHOD_TOKENS}")
-    coeff = _COEFF_FN[method](k)
-    asymptotic = coeff * 2.0 ** (n / k) / math.sqrt(n)
-    if method == METHOD_FIRST:
-        finite = _finite_first(n, k)
-    elif method == METHOD_THIRD:
-        finite = _finite_third(n, k)
-    else:
-        finite = None
+    p = _ORDER[method]
+    c = coeff(p, k)
     return BoundReport(
         method=method,
         k=k,
         n=n,
-        coefficient=coeff,
-        asymptotic_bound=asymptotic,
-        finite_bound=finite,
+        coefficient=c,
+        asymptotic_bound=c * 2.0 ** (n / k) / math.sqrt(n),
+        # The variance route is reported without a finite form.
+        finite_bound=None if method == METHOD_VARIANCE else _finite(n, k, p),
     )
-
-
-_COEFF_FIELD = {METHOD_FIRST: "c_first", METHOD_THIRD: "c_third", METHOD_VARIANCE: "c_variance"}
 
 
 @dataclass(frozen=True)
@@ -161,11 +147,6 @@ class MethodComparison:
     c_variance: float
     argmax: str
 
-    def coefficient(self, method: str) -> float:
-        if method not in _COEFF_FIELD:
-            raise ValueError(f"unknown method {method!r}")
-        return getattr(self, _COEFF_FIELD[method])
-
 
 def best_method(k: int) -> MethodComparison:
     """The numerically largest coefficient wins; ties go to the lower moment order.
@@ -174,15 +155,14 @@ def best_method(k: int) -> MethodComparison:
     off a precomputed regime table, so callers can audit it against the
     returned coefficients.
     """
-    _check_k(k)
-    values = {method: _COEFF_FN[method](k) for method in _METHOD_ORDER}
+    values = {method: coeff(p, k) for method, p in _ORDER.items()}
     return MethodComparison(
         k=k,
         c_first=values[METHOD_FIRST],
         c_third=values[METHOD_THIRD],
         c_variance=values[METHOD_VARIANCE],
         # max keeps the first of equal values, the lowest order.
-        argmax=max(_METHOD_ORDER, key=values.__getitem__),
+        argmax=max(values, key=values.__getitem__),
     )
 
 

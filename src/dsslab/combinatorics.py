@@ -1,4 +1,4 @@
-"""Exact binomial coefficients and absolute central moment sums.
+"""Exact absolute central moment sums of the binomial distribution.
 
 Everything in this module is integer or rational arithmetic, no floats.
 The central objects are the scaled sums
@@ -17,21 +17,11 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "binomial",
     "ScaledMomentSum",
     "scaled_abs_moment_sum",
     "closed_form_s1",
     "closed_form_s3",
 ]
-
-
-def binomial(n: int, i: int) -> int:
-    """C(n, i) as an exact integer; 0 when i > n or i < 0."""
-    if n < 0:
-        raise ValueError(f"n must be nonnegative, got {n}")
-    if i < 0 or i > n:
-        return 0
-    return math.comb(n, i)
 
 
 @dataclass(frozen=True)
@@ -89,8 +79,6 @@ def closed_form_s3(n: int) -> Fraction:
     if n < 1:
         raise ValueError(f"closed form requires n >= 1, got {n}")
     if n % 2 == 0:
-        if n < 2:
-            raise ValueError(f"even branch requires n >= 2, got {n}")
         half = math.factorial(n // 2 - 1)
         return Fraction(math.factorial(n), half * half)
     half = math.factorial((n - 1) // 2)

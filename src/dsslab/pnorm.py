@@ -439,13 +439,17 @@ def max_enumerable_n(k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
 
     Grows the same boxes as lattice_shell_enumerate with increasing n until
     the budget or the norm guard trips, so the answer is exactly consistent
-    with it, without locating or summing any shell.
+    with it, without locating or summing any shell. When not even n = 0
+    fits, raises the BudgetExceededError that lattice_shell_enumerate(0, k, p)
+    raises.
     """
     _validate_lattice_args(k, p)
     n = 0
     while True:
         try:
-            _grow_box(n + 1, k, p, budget, "lattice box enumeration")
+            _grow_box(n, k, p, budget, "lattice box enumeration")
         except BudgetExceededError:
-            return n
+            if n == 0:
+                raise
+            return n - 1
         n += 1

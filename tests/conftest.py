@@ -1,12 +1,16 @@
 """Shared helpers for the test suite.
 
 Tests that need randomness build their own ``numpy.random.default_rng``
-with an explicit seed so every run sees the same inputs.
+with an explicit seed so every run sees the same inputs. Hypothesis runs
+under one profile, loaded here: derandomized, no example database and no
+deadline, so every run draws the same examples; tests set only their
+``max_examples``.
 """
 
 from __future__ import annotations
 
 import numpy as np
+from hypothesis import settings
 
 from dsslab import (
     METHOD_FIRST,
@@ -16,6 +20,9 @@ from dsslab import (
     closed_form_s3,
     radius_for_count,
 )
+
+settings.register_profile("dsslab", deadline=None, derandomize=True, database=None)
+settings.load_profile("dsslab")
 
 
 def random_sequence(rng: np.random.Generator, n: int, k: int, bound: int) -> VectorSequence:

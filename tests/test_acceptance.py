@@ -43,8 +43,7 @@ from dsslab import (
     bound_vs_search_report,
     closed_form_s1,
     closed_form_s3,
-    coeff_first,
-    coeff_variance,
+    coeff,
     convexity_probe,
     crossover_table,
     exact_moment,
@@ -163,8 +162,8 @@ def test_criterion_04_crossover_reproduction():
     survives_disagreement = cli.code == 0 and len(cli.notes) > 0
 
     anchors = (
-        abs(coeff_first(1) - 0.6266571) <= 1e-7
-        and abs(coeff_variance(1) - 3.0 ** -0.5) <= 1e-7
+        abs(coeff(1, 1) - 0.6266571) <= 1e-7
+        and abs(coeff(2, 1) - 3.0 ** -0.5) <= 1e-7
     )
     elapsed = time.perf_counter() - t0
     ok = deterministic and argmax_ok and survives_disagreement and anchors and elapsed < 1.0

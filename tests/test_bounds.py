@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import pytest
@@ -12,9 +13,7 @@ from dsslab import (
     METHOD_THIRD,
     METHOD_VARIANCE,
     best_method,
-    coeff_first,
-    coeff_third,
-    coeff_variance,
+    coeff,
     crossover_table,
     lower_bound,
     published_regime,
@@ -51,31 +50,31 @@ def _mp_coeffs(k):
 
 def test_coefficients_match_reference_table():
     for k, (cf, ct, cv) in COEFF_TABLE.items():
-        assert abs(coeff_first(k) - cf) <= 1e-9, k
-        assert abs(coeff_third(k) - ct) <= 1e-9, k
-        assert abs(coeff_variance(k) - cv) <= 1e-9, k
+        assert abs(coeff(1, k) - cf) <= 1e-9, k
+        assert abs(coeff(3, k) - ct) <= 1e-9, k
+        assert abs(coeff(2, k) - cv) <= 1e-9, k
 
 
 def test_variance_coefficient_at_one_is_inverse_sqrt_three():
-    assert abs(coeff_variance(1) - 3.0 ** -0.5) <= 1e-12
+    assert abs(coeff(2, 1) - 3.0 ** -0.5) <= 1e-12
 
 
 def test_coefficients_match_high_precision_recomputation():
     ks = list(range(1, 61)) + [100, 150, 200]
     for k in ks:
         cf, ct, cv = _mp_coeffs(k)
-        assert abs(coeff_first(k) - cf) <= 1e-9 * cf, k
-        assert abs(coeff_third(k) - ct) <= 1e-9 * ct, k
-        assert abs(coeff_variance(k) - cv) <= 1e-9 * cv, k
+        assert abs(coeff(1, k) - cf) <= 1e-9 * cf, k
+        assert abs(coeff(3, k) - ct) <= 1e-9 * ct, k
+        assert abs(coeff(2, k) - cv) <= 1e-9 * cv, k
 
 
 def test_coefficients_positive_and_finite():
     for k in range(1, 201):
-        for fn in (coeff_first, coeff_third, coeff_variance):
-            c = fn(k)
-            assert 0.0 < c < 1.0 and math.isfinite(c), (fn.__name__, k)
+        for p in (1, 2, 3):
+            c = coeff(p, k)
+            assert 0.0 < c < 1.0 and math.isfinite(c), (p, k)
     for k in range(1, 51):
-        assert coeff_first(k) > 0.3
+        assert coeff(1, k) > 0.3
 
 
 def test_variance_coefficient_decreases_to_known_limit():
@@ -84,7 +83,7 @@ def test_variance_coefficient_decreases_to_known_limit():
     limit = math.sqrt(2.0 / (math.e * math.pi))
     prev = float("inf")
     for k in range(1, 201):
-        c = coeff_variance(k)
+        c = coeff(2, k)
         assert c < prev, k
         assert c > limit, k
         prev = c
@@ -101,23 +100,29 @@ def test_best_method_agrees_with_recomputed_argmax():
     for k in range(1, 61):
         cmp = best_method(k)
         recomputed = dict(zip((METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE), _mp_coeffs(k)))
+        computed = dict(zip(recomputed, (cmp.c_first, cmp.c_third, cmp.c_variance)))
         assert cmp.argmax == max(recomputed, key=recomputed.get), k
-        assert abs(cmp.coefficient(cmp.argmax) - recomputed[cmp.argmax]) <= 1e-9
+        assert abs(computed[cmp.argmax] - recomputed[cmp.argmax]) <= 1e-9
 
 
-def test_comparison_coefficient_accessor():
-    cmp = best_method(3)
-    assert cmp.coefficient(METHOD_FIRST) == cmp.c_first
-    assert cmp.coefficient(METHOD_THIRD) == cmp.c_third
-    assert cmp.coefficient(METHOD_VARIANCE) == cmp.c_variance
-    with pytest.raises(ValueError):
-        cmp.coefficient("median")
+def test_comparison_fields_are_coefficients_by_order():
+    # Each method reads the coefficient of its own moment order, in
+    # best_method and in lower_bound alike.
+    for k in (1, 3, 20):
+        cmp = best_method(k)
+        assert (cmp.c_first, cmp.c_variance, cmp.c_third) == tuple(coeff(p, k) for p in (1, 2, 3))
+        fields = {METHOD_FIRST: cmp.c_first, METHOD_THIRD: cmp.c_third, METHOD_VARIANCE: cmp.c_variance}
+        for method, c in fields.items():
+            assert lower_bound(4, k, method).coefficient == c, (k, method)
 
 
 def test_lower_bound_first_moment_base_case_is_exactly_one():
     r = lower_bound(1, 1, METHOD_FIRST)
     assert r.finite_bound == 1.0
     assert r.method == METHOD_FIRST
+    # At (2, 1) the bound equals M_min = 2 exactly; one ulp more would flag
+    # a finite violation in the report.
+    assert lower_bound(2, 1, METHOD_FIRST).finite_bound == 2.0
 
 
 def test_lower_bound_variance_example():
@@ -127,8 +132,8 @@ def test_lower_bound_variance_example():
 
 
 def test_finite_forms_recomputed_from_parts():
-    for n, k in ((12, 3), (9, 1), (17, 2)):
-        for method in (METHOD_FIRST, METHOD_THIRD):
+    for n in range(1, 61):
+        for k, method in itertools.product((1, 2, 3, 5, 8, 20, 200), (METHOD_FIRST, METHOD_THIRD)):
             finite = lower_bound(n, k, method).finite_bound
             alt = recomputed_finite_bound(n, k, method)
             assert abs(finite - alt) <= 1e-12 * alt, (n, k, method)
@@ -151,6 +156,10 @@ def test_lower_bound_validation():
         lower_bound(4, 1, "median")
     with pytest.raises(ValueError):
         lower_bound(4, 0, METHOD_FIRST)
+    with pytest.raises(ValueError):
+        coeff(1, 0)
+    with pytest.raises(ValueError):
+        coeff(0, 3)
 
 
 def test_crossover_table_shape_and_determinism():

@@ -1,40 +1,18 @@
-"""Binomial helpers and the signed-sum power sums S1, S3."""
+"""The signed-sum power sums T_p(n) and the closed forms of S1, S3."""
 
 from __future__ import annotations
 
+import math
 from fractions import Fraction
 
 import pytest
 
 from dsslab import (
     ScaledMomentSum,
-    binomial,
     closed_form_s1,
     closed_form_s3,
     scaled_abs_moment_sum,
 )
-
-
-def test_binomial_examples():
-    assert binomial(5, 0) == 1
-    assert binomial(4, 2) == 6
-    assert binomial(10, 5) == 252
-    assert binomial(3, 5) == 0
-    assert binomial(3, -1) == 0
-
-
-def test_binomial_rejects_negative_n():
-    with pytest.raises(ValueError):
-        binomial(-1, 0)
-
-
-def test_binomial_against_pascal_triangle():
-    # Independent recurrence: row n is built only from row n - 1.
-    row = [1]
-    for n in range(41):
-        for i in range(n + 1):
-            assert binomial(n, i) == row[i], (n, i)
-        row = [1] + [row[i] + row[i + 1] for i in range(n)] + [1]
 
 
 def test_scaled_abs_moment_sum_examples():
@@ -48,7 +26,7 @@ def test_scaled_abs_moment_sum_matches_direct_fraction_sum():
     for n in range(21):
         for p in (1, 2, 3, 4):
             direct = sum(
-                Fraction(binomial(n, i)) * abs(Fraction(n, 2) - i) ** p
+                Fraction(math.comb(n, i)) * abs(Fraction(n, 2) - i) ** p
                 for i in range(n + 1)
             )
             assert scaled_abs_moment_sum(n, p).scaled == direct, (n, p)
@@ -67,8 +45,8 @@ def test_scaled_abs_moment_sum_term_symmetry():
     for n in range(1, 65):
         for p in (1, 3, 5):
             for i in range(n // 2 + 1):
-                left = binomial(n, i) * abs(n - 2 * i) ** p
-                right = binomial(n, n - i) * abs(n - 2 * (n - i)) ** p
+                left = math.comb(n, i) * abs(n - 2 * i) ** p
+                right = math.comb(n, n - i) * abs(n - 2 * (n - i)) ** p
                 assert left == right
 
 

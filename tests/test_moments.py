@@ -67,10 +67,8 @@ def test_distribution_sparse_path_matches_direct_enumeration():
 # Narrow coordinates repeat and include zeros, so the support folds
 # heavily; wide ones hardly fold at all.
 _COORD_RANGES = st.sampled_from((8, 10**6))
-_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
-
-@_PROPERTY
+@settings(max_examples=200)
 @given(_COORD_RANGES.flatmap(lambda hi: st.lists(st.integers(0, hi), max_size=10)))
 def test_distribution_matches_product_oracle(coords):
     sums = [
@@ -96,7 +94,7 @@ def _sequences(draw):
     return VectorSequence(len(vectors), k, bound, tuple(vectors))
 
 
-@_PROPERTY
+@settings(max_examples=200)
 @given(_sequences())
 def test_second_moment_is_quarter_sum_of_squares(seq):
     squares = sum(c * c for vec in seq.vectors for c in vec)

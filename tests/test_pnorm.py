@@ -308,6 +308,18 @@ def test_shell_budget_error_reports_need():
     assert lattice_shell_enumerate(16, 1, 4).boundary_norm_power == 2**60
 
 
+def test_max_enumerable_n_refuses_when_n_zero_does_not_fit():
+    # The n = 0 box at k = 8, p = 1 is [-3, 3]^8, 7^8 points, past the
+    # default budget: there is no enumerable n, so no 0 is returned.
+    with pytest.raises(BudgetExceededError) as info:
+        max_enumerable_n(8, 1)
+    assert (info.value.needed, info.value.budget) == (7**8, DEFAULT_ENUM_BUDGET) == (5764801, 4194304)
+    with pytest.raises(BudgetExceededError) as info:
+        lattice_shell_enumerate(0, 8, 1)
+    assert (info.value.needed, info.value.budget) == (5764801, 4194304)
+    assert max_enumerable_n(7, 1) == 1
+
+
 def test_max_enumerable_n_is_tight():
     for k, p in itertools.product((1, 2, 3), repeat=2):
         n = max_enumerable_n(k, p, budget=10**4)
@@ -315,8 +327,6 @@ def test_max_enumerable_n_is_tight():
         with pytest.raises(BudgetExceededError):
             lattice_shell_enumerate(n + 1, k, p, budget=10**4)
 
-
-_PROPERTY = settings(max_examples=200, deadline=None, derandomize=True, database=None)
 
 
 def _outcome(fn, *args, **kwargs):
@@ -326,7 +336,7 @@ def _outcome(fn, *args, **kwargs):
         return (err.needed, err.budget)
 
 
-@settings(max_examples=120, deadline=None, derandomize=True, database=None)
+@settings(max_examples=120)
 @given(
     st.integers(0, 9), st.integers(1, 4), st.integers(1, 5),
     st.one_of(st.integers(1, 5 * 10**4), st.just(DEFAULT_ENUM_BUDGET)),
@@ -342,7 +352,7 @@ def test_shell_summary_matches_points_oracle(n, k, p, budget):
     assert summary.boundary_norm_power == points[-1][1]
 
 
-@_PROPERTY
+@settings(max_examples=200)
 @given(st.integers(1, 4), st.integers(1, 5), st.integers(0, 4), st.data())
 def test_ball_count_matches_product_tally(k, p, t, data):
     v = data.draw(st.integers(-1, k * t**p))
@@ -381,7 +391,7 @@ def _root_cases(draw):
     return p, t, edges + free + inside
 
 
-@_PROPERTY
+@settings(max_examples=200)
 @given(_root_cases())
 def test_iroot_matches_integer_oracle(case):
     p, t, xs = case

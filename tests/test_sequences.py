@@ -241,7 +241,7 @@ def test_search_frontier_cell_7_1():
     assert verify_distinct(out.witness) is None
 
 
-@settings(max_examples=200, deadline=None, derandomize=True, database=None)
+@settings(max_examples=200)
 @given(st.integers(1, 4), st.integers(1, 3), st.integers(1, 3))
 def test_level_search_agrees_with_bruteforce(n, k, m):
     # One level at a time: both must agree on whether [0, m]^k holds a
