@@ -5,7 +5,9 @@ eps_i in {-1/2, +1/2}, X = sum eps_i a_i. Internally signs are modeled as
 +-1 and every value is halved at the API boundary, which keeps the exact
 distributions integral: coordinate j's signed sums are integers in
 [-S_j, S_j] with S_j = sum_i a_ij, held as sorted int64 value and count
-arrays.
+arrays. Exact moments pair two such distributions, one per half of the
+entries (Horowitz-Sahni), through exact prefix power sums, so the full
+2^n-entry support of a distinct-sum coordinate is never built.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p).
@@ -14,6 +16,7 @@ standard error, bit-for-bit reproducible from (seed, samples, seq, p).
 from __future__ import annotations
 
 import itertools
+import math
 import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
@@ -100,18 +103,6 @@ class SignedSumDistribution:
     def total(self) -> int:
         return int(self.counts.sum())
 
-    def moment_power_sum(self, p: int) -> int:
-        """sum over the support of count * |value|^p, an exact integer.
-
-        By symmetry only values >= 0 are visited, each positive one
-        standing for its negation as well.
-        """
-        half = self.values >= 0
-        values = self.values[half]
-        weights = np.where(values > 0, 2, 1) * self.counts[half]
-        powers = map(pow, values.tolist(), itertools.repeat(p))
-        return sum(map(operator.mul, weights.tolist(), powers))
-
 
 def signed_sum_distribution(
     coords, budget: int = DEFAULT_TABLE_BUDGET, coordinate: int | None = None
@@ -163,6 +154,42 @@ def signed_sum_distribution(
     return SignedSumDistribution(n=n, values=values, counts=counts, coordinate=coordinate)
 
 
+def _prefix_power_sums(dist: SignedSumDistribution, p: int) -> Iterator[list[int]]:
+    """Exact prefix sums of count * value^m over dist's sorted support, m = 0..p.
+
+    Yields one row per m, so a single pass holds one row at a time. Row m
+    starts at 0 and has len(dist.values) + 1 entries: row[i] sums the first
+    i support entries and row[-1] is the whole power sum T_m.
+    """
+    values, counts = dist.values.tolist(), dist.counts.tolist()
+    for m in range(p + 1):
+        terms = map(operator.mul, counts, map(pow, values, itertools.repeat(m)))
+        yield list(itertools.accumulate(terms, initial=0))
+
+
+def _paired_power_sum(ys: np.ndarray, weights, inner: SignedSumDistribution, prefix, p: int) -> int:
+    """sum over y in ys and z in inner's support of w_y * c_z * |y + z|^p, exact.
+
+    ys are int64 values >= 0 with Python-int weights w_y; c_z are inner's
+    counts and prefix holds the rows of _prefix_power_sums(inner, p), in
+    order, as a list or the generator itself. Expanding (y + z)^p
+    binomially turns the sum over z into inner's power sums T_m. For odd p
+    the terms with z < -y change sign; one searchsorted at -y finds their
+    prefix P_m, so y contributes sum_m C(p, m) y^(p-m) (T_m - 2 P_m[cut]).
+    Even p has no sign to split, and every y sees the whole T_m.
+    """
+    cuts = np.searchsorted(inner.values, -ys).tolist() if p % 2 else None
+    ys = ys.tolist()
+    total = 0
+    for m, row in enumerate(prefix):
+        scaled = [w * y ** (p - m) for w, y in zip(weights, ys)]
+        term = row[-1] * sum(scaled)
+        if cuts is not None:
+            term -= 2 * sum(map(operator.mul, scaled, map(row.__getitem__, cuts)))
+        total += math.comb(p, m) * term
+    return total
+
+
 @dataclass(frozen=True)
 class MomentValue:
     """E[||X||_p^p] with provenance.
@@ -182,19 +209,33 @@ class MomentValue:
 def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET) -> MomentValue:
     """E[||X||_p^p] as an exact rational, p in {1, 2, 3}.
 
-    Sums per-coordinate contributions E|X_j|^p; each coordinate is one
-    exact DP. The halving of values enters as the factor 2^p.
+    Sums per-coordinate contributions E|X_j|^p. Each coordinate is split
+    into its first n // 2 entries and the rest, one exact DP per half, and
+    the two halves are paired by _paired_power_sum, so no support larger
+    than one half's is built and budget and the int64 guards apply to each
+    half. The halving of values enters as the factor 2^p.
     """
     if p not in (1, 2, 3):
         raise ValueError(f"exact path supports p in {{1, 2, 3}}, got {p}")
-    total = Fraction(0)
-    denom = (1 << seq.n) * 2**p
+    half = seq.n // 2
+    power_sum = 0
     for j in range(seq.k):
-        dist = signed_sum_distribution(
-            (vec[j] for vec in seq.vectors), budget=budget, coordinate=j
+        coords = [vec[j] for vec in seq.vectors]
+        outer, inner = sorted(
+            (
+                signed_sum_distribution(coords[:half], budget=budget, coordinate=j),
+                signed_sum_distribution(coords[half:], budget=budget, coordinate=j),
+            ),
+            key=lambda dist: len(dist.values),
         )
-        total += Fraction(dist.moment_power_sum(p), denom)
-    return MomentValue(p=p, value=total, provenance="exact_dp", stderr=None, samples=None)
+        # Both halves are symmetric, so y and -y pair alike: visit y >= 0,
+        # a positive y standing for its negation as well.
+        nonneg = outer.values >= 0
+        ys = outer.values[nonneg]
+        weights = [c << (y > 0) for y, c in zip(ys.tolist(), outer.counts[nonneg].tolist())]
+        power_sum += _paired_power_sum(ys, weights, inner, _prefix_power_sums(inner, p), p)
+    value = Fraction(power_sum, (1 << seq.n) * 2**p)
+    return MomentValue(p=p, value=value, provenance="exact_dp", stderr=None, samples=None)
 
 
 def extremal_moment(n: int, k: int, bound: int, p: int) -> MomentValue:
@@ -259,11 +300,6 @@ class ConvexityCounterexample:
     f_hi: Fraction
 
 
-def _abs_mean(coords) -> Fraction:
-    dist = signed_sum_distribution(coords)
-    return Fraction(dist.moment_power_sum(1), (1 << dist.n) * 2)
-
-
 def convexity_probe(
     n: int, bound: int, trials: int, seed: int
 ) -> ConvexityCounterexample | None:
@@ -273,9 +309,11 @@ def convexity_probe(
     i, then checks two exact statements about f(t) = E|X| as a function
     of x_i alone: midpoint convexity f(lo) + f(hi) >= 2 f(mid) for a
     random even-gap pair lo <= hi (so the midpoint is on the grid), and
-    the vertex property f(x_i) <= max(f(0), f(bound)). All three values
-    are exact rationals, so a pass is exact, not approximate. Returns the
-    first counterexample, or None.
+    the vertex property f(x_i) <= max(f(0), f(bound)). All values are
+    exact rationals, so a pass is exact, not approximate. One DP per trial
+    builds the distribution of the other n - 1 coordinates, and each f(t)
+    pairs it with the two-point side {-t, +t}. Returns the first
+    counterexample, or None.
     """
     if not (1 <= n <= 16):
         raise ValueError(f"probe supports 1 <= n <= 16, got {n}")
@@ -293,7 +331,12 @@ def convexity_probe(
             if (hi - lo) % 2 == 0:
                 break
         mid = (lo + hi) // 2
-        at = lambda t: _abs_mean(x[:i] + [t] + x[i + 1 :])
+        rest = signed_sum_distribution(x[:i] + x[i + 1 :])
+        prefix = list(_prefix_power_sums(rest, 1))
+        # Coordinate i is the two-point side {-t, +t}: t >= 0 with weight 2.
+        at = lambda t: Fraction(
+            _paired_power_sum(np.array([t]), [2], rest, prefix, 1), (1 << n) * 2
+        )
         f_lo, f_mid, f_hi = at(lo), at(mid), at(hi)
         if f_lo + f_hi < 2 * f_mid:
             return ConvexityCounterexample(

@@ -9,12 +9,15 @@ deadline, so every run draws the same examples; tests set only their
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 from hypothesis import settings
 
 from dsslab import (
     METHOD_FIRST,
     METHOD_THIRD,
+    SignedSumDistribution,
     VectorSequence,
     closed_form_s1,
     closed_form_s3,
@@ -56,3 +59,21 @@ def recomputed_finite_bound(n: int, k: int, method: str) -> float | None:
             2.0 ** (n + 3) / ((k + 3) * 8.0 * float(closed_form_s3(n)))
         ) ** (1.0 / 3.0)
     return None
+
+
+def full_support_power_sum(dist: SignedSumDistribution, p: int) -> int:
+    """sum over dist's whole support of count * |value|^p, an exact integer:
+    the full 2^n-entry power sum that exact_moment's half pairing replaces."""
+    values, counts = dist.values.tolist(), dist.counts.tolist()
+    return sum(c * abs(v) ** p for v, c in zip(values, counts))
+
+
+def conway_guy(n: int) -> VectorSequence:
+    """The Conway-Guy set {u_n - u_(n-i) : 1 <= i <= n} as a k = 1 sequence;
+    its 2^n subset sums are distinct (Bohman 1996), so each coordinate's
+    signed-sum support has all 2^n entries."""
+    u = [0, 1]
+    for m in range(1, n):
+        u.append(2 * u[m] - u[m - round(math.sqrt(2 * m))])
+    values = [u[n] - u[n - i] for i in range(1, n + 1)]
+    return VectorSequence(n, 1, max(values, default=0), tuple((v,) for v in values))

@@ -8,7 +8,8 @@ from pathlib import Path
 
 import pytest
 
-from dsslab import VectorSequence, crossover_table, verify_distinct
+from conftest import conway_guy
+from dsslab import VectorSequence, crossover_table, exact_moment, verify_distinct
 from dsslab.cli import DEFAULT_SEED, build_config, main, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -265,18 +266,54 @@ def test_moments_mc_records_seed(good_file):
 
 
 def test_moments_int64_guard_exit(tmp_path, capsys):
-    # 63 signs give counts up to 2^63; two components of 2^62 give sums of
-    # 2^63. Neither fits the int64 DP, so both are refused before it runs.
-    zeros = tmp_path / "zeros.seq"
-    zeros.write_text("63 1 0\n" + "0\n" * 63)
-    top = tmp_path / "top.seq"
-    top.write_text(f"2 1 {1 << 62}\n{1 << 62}\n{1 << 62}\n")
-    for path in (zeros, top):
+    # The exact path builds one distribution per half of the entries, so the
+    # int64 guards (counts reach 2^h for h entries, values reach their sum)
+    # apply per half. 63 zeros (halves of 31 and 32) and two components of
+    # 2^62 (one per half) now compute; 126 zeros give a half of 63 entries
+    # and four components of 2^62 a half summing to 2^63, and both are
+    # still refused before any DP runs.
+    def moments(name, text, *extra):
+        path = tmp_path / name
+        path.write_text(text)
+        code = main(["moments", "--file", str(path), "--p", "1", "--format", "json", *extra])
+        return code, capsys.readouterr()
+
+    code, captured = moments("zeros63.seq", "63 1 0\n" + "0\n" * 63)
+    assert code == 0 and json.loads(captured.out)["value"] == "0/1"
+    code, captured = moments("top2.seq", f"2 1 {1 << 62}\n{1 << 62}\n{1 << 62}\n")
+    assert code == 0 and json.loads(captured.out)["value"] == f"{1 << 61}/1"
+
+    for name, text in (
+        ("zeros126.seq", "126 1 0\n" + "0\n" * 126),
+        ("top4.seq", f"4 1 {1 << 62}\n" + f"{1 << 62}\n" * 4),
+    ):
+        path = tmp_path / name
+        path.write_text(text)
         for fmt in ("text", "json"):
             assert main(["moments", "--file", str(path), "--p", "1", "--format", fmt]) == 3
             captured = capsys.readouterr()
             assert captured.out == ""
             assert "int64" in captured.err
+
+
+def test_moments_budget_counts_one_half(tmp_path, capsys):
+    # The 2^16 signed sums of a distinct-sum set at n = 16 need a full
+    # support of 2^16 entries, but each half holds 2^8, which a budget of
+    # 2^8 admits; 2^8 - 1 does not.
+    seq = conway_guy(16)
+    for p in (1, 2, 3):
+        assert exact_moment(seq, p, budget=2**8) == exact_moment(seq, p)
+    path = tmp_path / "cg16.seq"
+    path.write_text(seq.to_text())
+    argv = ["moments", "--file", str(path), "--p", "3", "--format", "json"]
+    assert main(argv) == 0
+    default = capsys.readouterr().out
+    assert main([*argv, "--budget", str(2**8)]) == 0
+    assert capsys.readouterr().out == default
+    assert main([*argv, "--budget", str(2**8 - 1)]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "needs 256, budget is 255" in captured.err
 
 
 def test_moments_exact_rejects_fractional_p(good_file):

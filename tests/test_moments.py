@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+import time
 from fractions import Fraction
 
 import numpy as np
@@ -11,7 +12,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sequence
+from conftest import conway_guy, full_support_power_sum, random_sequence
 from dsslab import (
     BudgetExceededError,
     VectorSequence,
@@ -19,6 +20,7 @@ from dsslab import (
     exact_moment,
     extremal_moment,
     mc_estimate,
+    moments,
     signed_sum_distribution,
     variance_identity_check,
 )
@@ -81,7 +83,7 @@ def test_distribution_matches_product_oracle(coords):
     assert all(dist.support[-value] == count for value, count in expect.items())
     assert dist.total() == 2 ** len(coords)
     for p in (1, 2, 3):
-        assert dist.moment_power_sum(p) == sum(abs(s) ** p for s in sums), p
+        assert full_support_power_sum(dist, p) == sum(abs(s) ** p for s in sums), p
 
 
 @st.composite
@@ -99,6 +101,76 @@ def _sequences(draw):
 def test_second_moment_is_quarter_sum_of_squares(seq):
     squares = sum(c * c for vec in seq.vectors for c in vec)
     assert exact_moment(seq, 2).value == Fraction(squares, 4)
+
+
+@st.composite
+def _moment_cases(draw):
+    # n = 0 and n = 1 leave the first half empty; odd n makes the halves
+    # unequal. Zeros and repeats fold the supports, and even p sees sums
+    # of both signs.
+    n = draw(st.integers(0, 10))
+    k = draw(st.integers(1, 2))
+    component = st.integers(0, draw(_COORD_RANGES))
+    vectors = tuple(draw(st.lists(st.tuples(*[component] * k), min_size=n, max_size=n)))
+    bound = max((c for vec in vectors for c in vec), default=0)
+    return VectorSequence(n, k, bound, vectors), draw(st.sampled_from((1, 2, 3)))
+
+
+@settings(max_examples=300)
+@given(_moment_cases())
+def test_exact_moment_matches_sign_enumeration(case):
+    seq, p = case
+    total = 0
+    for signs in itertools.product((-1, 1), repeat=seq.n):
+        for j in range(seq.k):
+            total += abs(sum(e * vec[j] for e, vec in zip(signs, seq.vectors))) ** p
+    assert exact_moment(seq, p).value == Fraction(total, 2**seq.n * 2**p)
+
+
+@settings(max_examples=60)
+@given(
+    st.tuples(st.integers(0, 18), _COORD_RANGES).flatmap(
+        lambda nh: st.lists(st.integers(0, nh[1]), min_size=nh[0], max_size=nh[0])
+    ),
+    st.sampled_from((1, 2, 3)),
+)
+def test_exact_moment_matches_full_support_oracle(coords, p):
+    n = len(coords)
+    seq = VectorSequence(n, 1, max(coords, default=0), tuple((c,) for c in coords))
+    expect = Fraction(full_support_power_sum(signed_sum_distribution(coords), p), 2**n * 2**p)
+    assert exact_moment(seq, p).value == expect
+
+
+def test_exact_moment_builds_half_supports_only(monkeypatch):
+    # Conway-Guy sums are all distinct, so the full support would hold
+    # 2^30 entries; each half holds at most 2^15.
+    seq = conway_guy(30)
+    sizes = []
+
+    def recorded(*args, **kwargs):
+        dist = signed_sum_distribution(*args, **kwargs)
+        sizes.append(len(dist.values))
+        return dist
+
+    monkeypatch.setattr(moments, "signed_sum_distribution", recorded)
+    exact_moment(seq, 3)
+    assert sizes == [1 << 15, 1 << 15]
+
+
+def test_exact_moment_conway_guy_beyond_full_support():
+    # The full supports (2^24 and 2^30 entries) exceed the default budget
+    # of 2^22; the halves do not.
+    for n in (24, 30):
+        seq = conway_guy(n)
+        squares = sum(vec[0] ** 2 for vec in seq.vectors)
+        assert exact_moment(seq, 2).value == Fraction(squares, 4)
+        assert variance_identity_check(seq) is None
+    seq = conway_guy(30)
+    for p in (1, 3):
+        start = time.perf_counter()
+        value = exact_moment(seq, p).value
+        assert time.perf_counter() - start < 1.0, p
+        assert value > 0
 
 
 def test_distribution_of_equal_coordinates_is_binomial():
