@@ -64,7 +64,6 @@ from .sequences import (
     iter_gray_subset_sums,
     min_m_search,
     verify_distinct,
-    verify_distinct_by_sorting,
 )
 
 __version__ = "0.1.0"

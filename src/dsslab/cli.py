@@ -342,7 +342,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--seed", type=_seed_u64, default=DEFAULT_SEED,
                     help=f"RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--budget", type=_positive_int, default=None,
-                    help="signed-sum support entries per coordinate for the exact path")
+                    help="signed-sum support entries per half of a coordinate's entries for the exact path")
     common(sp)
 
     sp = sub.add_parser("report", help="bounds vs searched minimum for one (n, k)")

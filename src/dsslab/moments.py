@@ -7,7 +7,8 @@ distributions integral: coordinate j's signed sums are integers in
 [-S_j, S_j] with S_j = sum_i a_ij, held as sorted int64 value and count
 arrays. Exact moments pair two such distributions, one per half of the
 entries (Horowitz-Sahni), through exact prefix power sums, so the full
-2^n-entry support of a distinct-sum coordinate is never built.
+2^n-entry support of a distinct-sum coordinate is never built. The same
+DP over the signs {-1, 0, +1} decides distinct subset sums in sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p).
@@ -21,12 +22,15 @@ import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from .combinatorics import closed_form_s1, closed_form_s3
 from .errors import BudgetExceededError
-from .sequences import VectorSequence
+
+if TYPE_CHECKING:
+    from .sequences import VectorSequence
 
 __all__ = [
     "DEFAULT_TABLE_BUDGET",
@@ -84,9 +88,10 @@ class SignedSumDistribution:
 
     values holds the distinct signed sums in increasing order and counts
     the exact number of sign patterns reaching each (both int64); counts
-    total 2^n and the distribution is symmetric under negation. support
-    reads the same as a value -> count mapping. Values are in the doubled
-    convention (signs +-1); divide by 2 to read them on the +-1/2 scale.
+    total 2^n (3^n when the patterns also admit eps_i = 0) and the
+    distribution is symmetric under negation. support reads the same as a
+    value -> count mapping. Values are in the doubled convention (signs
+    +-1); divide by 2 to read them on the +-1/2 scale.
     coordinate records which coordinate of the owning sequence this is,
     when there is one.
     """
@@ -105,30 +110,37 @@ class SignedSumDistribution:
 
 
 def signed_sum_distribution(
-    coords, budget: int = DEFAULT_TABLE_BUDGET, coordinate: int | None = None
+    coords,
+    budget: int = DEFAULT_TABLE_BUDGET,
+    coordinate: int | None = None,
+    signs: tuple[int, ...] = (-1, 1),
 ) -> SignedSumDistribution:
-    """Exact convolution of the two-point distributions {-c, +c}.
+    """Exact convolution of the distributions of eps * c, eps uniform over signs.
 
-    One loop over the coordinates keeps the support as sorted int64
-    arrays. Step c concatenates values - c and values + c, two sorted
-    runs that a stable sort merges in linear time, and np.add.reduceat
-    folds the counts of equal values.
+    signs is (-1, 1), the two-point distributions {-c, +c}, or (-1, 0, 1),
+    which also lets each entry sit out. One loop over the coordinates keeps
+    the support as sorted int64 arrays. Step c concatenates values + s * c
+    for s in signs, two or three sorted runs that a stable sort merges in
+    linear time, and np.add.reduceat folds the counts of equal values.
 
     budget caps the support entries after any one step and is checked
     before that step merges. The next support has at most
-    min(2 * len, reach + 1) entries, reach being the running sum of the
-    coordinates (every value shares its parity); when that bound passes
-    the budget, the exact next size is counted before refusing. Inputs
-    the int64 arrays cannot hold are refused up front: a coordinate sum
-    of 2^63 or more, or n >= 63 (counts reach 2^n). Every refusal raises
-    BudgetExceededError.
+    min(2 * len, reach + 1) entries for two signs, which keep every value
+    on one parity, and min(3 * len, 2 * reach + 1) for three, reach being
+    the running sum of the coordinates; when that bound passes the budget,
+    the exact next size is counted before refusing.
+    Inputs the int64 arrays cannot hold are refused up front: a coordinate
+    sum of 2^63 or more, or len(signs)^n counts of 2^63 or more. Every
+    refusal raises BudgetExceededError.
     """
+    if signs not in ((-1, 1), (-1, 0, 1)):
+        raise ValueError(f"signs must be (-1, 1) or (-1, 0, 1), got {signs}")
     coords = [int(c) for c in coords]
     if any(c < 0 for c in coords):
         raise ValueError(f"coordinates must be nonnegative, got {coords}")
     n, span = len(coords), sum(coords)
-    if n >= 63:
-        raise BudgetExceededError("int64 signed-sum counts", 1 << n, _INT64_MAX)
+    if len(signs) ** n > _INT64_MAX:
+        raise BudgetExceededError("int64 signed-sum counts", len(signs) ** n, _INT64_MAX)
     if span > _INT64_MAX:
         raise BudgetExceededError("int64 signed-sum values", span, _INT64_MAX)
 
@@ -137,21 +149,35 @@ def signed_sum_distribution(
     reach = 0
     for c in coords:
         reach += c
-        low, high = values - c, values + c
-        needed = min(2 * len(values), reach + 1)
+        runs = [values + s * c for s in signs]
+        needed = min(len(signs) * len(values), reach + 1 if len(signs) == 2 else 2 * reach + 1)
         if needed > budget:
-            # values - c and values + c meet wherever two values lie 2c apart.
-            hit = np.minimum(np.searchsorted(high, low), len(high) - 1)
-            needed = 2 * len(values) - int(np.count_nonzero(high[hit] == low))
+            needed = _union_size(runs)
             if needed > budget:
                 raise BudgetExceededError("signed-sum DP support", needed, budget)
-        merged = np.concatenate((low, high))
+        merged = np.concatenate(runs)
         order = np.argsort(merged, kind="stable")
         merged = merged[order]
         starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
         values = merged[starts]
-        counts = np.add.reduceat(np.concatenate((counts, counts))[order], starts)
+        counts = np.add.reduceat(np.tile(counts, len(signs))[order], starts)
     return SignedSumDistribution(n=n, values=values, counts=counts, coordinate=coordinate)
+
+
+def _union_size(runs: list[np.ndarray]) -> int:
+    """Distinct entries over sorted runs of distinct values, without merging them.
+
+    Each run counts the entries that no earlier run holds; a searchsorted
+    probe tells whether an earlier run holds a value.
+    """
+    size = 0
+    for i, run in enumerate(runs):
+        fresh = np.ones(len(run), dtype=bool)
+        for earlier in runs[:i]:
+            hit = np.minimum(np.searchsorted(earlier, run), len(earlier) - 1)
+            fresh &= earlier[hit] != run
+        size += int(np.count_nonzero(fresh))
+    return size
 
 
 def _prefix_power_sums(dist: SignedSumDistribution, p: int) -> Iterator[list[int]]:

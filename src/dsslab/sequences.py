@@ -1,11 +1,17 @@
 """Distinct-subset-sum verification and exhaustive minimal-M search in Z^k.
 
 A sequence of n vectors with components in [0, M] has the distinctness
-property when all 2^n subset sums differ. The verifier walks subsets in
-Gray-code order, so each step updates the running sum by one vector; sums
-are packed into a single integer in mixed radix base (n*M + 1), which
-makes collision detection one hash probe. Python integers are arbitrary
-precision, so one packed path covers every width.
+property when all 2^n subset sums differ, that is, when eps = 0 is the
+only eps in {-1, 0, 1}^n with sum eps_i a_i = 0. The verifier decides
+this by meet-in-the-middle (Horowitz-Sahni): it packs the vectors into
+integers in mixed radix S_j + 1, S_j being coordinate j's sum, builds one
+exact {-1, 0, +1} signed-sum distribution per half of them, and counts
+the pairs of half sums that cancel, in O(3^(n/2)). The sums are
+distinct exactly when that count is 1. Only to name a collision does it
+walk subsets in Gray-code order, where each step updates the running sum
+by one vector and a packed sum (mixed radix n*M + 1) is one hash probe,
+until the first repeat. The walk also settles the inputs that pigeonhole
+already condemns and those too wide to pack into int64.
 
 The searcher iterates M upward and runs a depth-first search over
 canonical candidate sequences per level, refuting each M below the
@@ -20,11 +26,15 @@ from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
+import numpy as np
+
 from .bounds import METHOD_TOKENS, lower_bound
 from .errors import BudgetExceededError
+from .moments import signed_sum_distribution
 
 __all__ = [
     "VERIFY_MAX_N",
@@ -34,7 +44,6 @@ __all__ = [
     "Collision",
     "iter_gray_subset_sums",
     "verify_distinct",
-    "verify_distinct_by_sorting",
     "SearchOutcome",
     "min_m_search",
     "baseline_construction",
@@ -43,7 +52,10 @@ __all__ = [
     "bound_vs_search_report",
 ]
 
-# Hard cap for full subset enumeration: 2^30 sums.
+# Largest n verify_distinct accepts. Below it the pair count's half
+# supports obey the DP's budget of 2^22 entries: every input up to n = 26
+# fits (3^13 entries a half), and longer ones fit when their half sums
+# fold, as baseline_construction(30, k)'s do; the rest are refused.
 VERIFY_MAX_N = 30
 
 # Search nodes are candidate vector placements; one node per attempt.
@@ -149,14 +161,8 @@ def iter_gray_subset_sums(seq: VectorSequence) -> Iterator[tuple[int, int]]:
         yield gray, current
 
 
-def verify_distinct(seq: VectorSequence) -> Collision | None:
-    """None when all 2^n subset sums are distinct, else the first collision.
-
-    "First" means first in the Gray-code walk; the returned pair is the
-    earlier subset and the colliding one, both as sorted index tuples.
-    """
-    if seq.n > VERIFY_MAX_N:
-        raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)
+def _gray_first_collision(seq: VectorSequence) -> Collision | None:
+    """The first repeated sum of the Gray-code walk, or None after all 2^n sums."""
     seen = {}
     for mask, packed in iter_gray_subset_sums(seq):
         other = seen.get(packed)
@@ -170,24 +176,50 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
     return None
 
 
-def verify_distinct_by_sorting(seq: VectorSequence) -> Collision | None:
-    """Independent oracle: recompute all packed sums, sort, scan neighbors."""
+def _zero_sum_signs(seq: VectorSequence) -> int:
+    """The number of eps in {-1, 0, 1}^n with sum eps_i a_i = 0, by meet-in-the-middle.
+
+    Coordinate j's signed sums d_j lie in [-S_j, S_j]. Packed in mixed
+    radix S_j + 1, a signed sum is 0 exactly when every d_j is: the lowest
+    nonzero d_j would have to be a multiple of S_j + 1. Each half of the
+    packed vectors gets one three-sign distribution, and a zero total
+    pairs v on the left with -v on the right; the right is symmetric, so
+    the count is sum_v c_L(v) c_R(v). It is 1, eps = 0 alone, exactly when
+    the 2^n subset sums are distinct. Each half's support is held to the
+    DP's default budget.
+    """
+    packed = [0] * seq.n
+    scale = 1
+    for j in range(seq.k):
+        column = [vec[j] for vec in seq.vectors]
+        packed = [acc + c * scale for acc, c in zip(packed, column)]
+        scale *= sum(column) + 1
+    half = seq.n // 2
+    left, right = (
+        signed_sum_distribution(part, signs=(-1, 0, 1))
+        for part in (packed[:half], packed[half:])
+    )
+    _, i, j = np.intersect1d(left.values, right.values, assume_unique=True, return_indices=True)
+    return sum(map(operator.mul, left.counts[i].tolist(), right.counts[j].tolist()))
+
+
+def verify_distinct(seq: VectorSequence) -> Collision | None:
+    """None when all 2^n subset sums are distinct, else the first collision.
+
+    "First" means first in the Gray-code walk; the returned pair is the
+    earlier subset and the colliding one, both as sorted index tuples.
+    The pair count of _zero_sum_signs decides, and the walk runs only to
+    name a collision. The packed radix prod_j (S_j + 1) sends two kinds of
+    input to the walk alone: below 2^n, pigeonhole forces a collision, and
+    from 2^63 on, the packed sums do not fit in int64. A half whose support
+    passes the DP budget raises BudgetExceededError.
+    """
     if seq.n > VERIFY_MAX_N:
         raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)
-    packed = _packed_vectors(seq)
-    sums = [(0, 0)]
-    for i, w in enumerate(packed):
-        bit = 1 << i
-        sums += [(s + w, mask | bit) for s, mask in sums]
-    sums.sort()
-    for (s1, m1), (s2, m2) in zip(sums, sums[1:]):
-        if s1 == s2:
-            return Collision(
-                first=_mask_indices(m1),
-                second=_mask_indices(m2),
-                total=_subset_total(seq, m1),
-            )
-    return None
+    radix = math.prod(sum(vec[j] for vec in seq.vectors) + 1 for j in range(seq.k))
+    if 1 << seq.n <= radix < 1 << 63 and _zero_sum_signs(seq) == 1:
+        return None
+    return _gray_first_collision(seq)
 
 
 @dataclass(frozen=True)
@@ -290,7 +322,7 @@ def _bruteforce_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | No
         budget.tick()
         vectors = tuple(candidates[i] for i in combo)
         seq = VectorSequence(n=n, k=k, bound=m, vectors=vectors)
-        if verify_distinct(seq) is None:
+        if _gray_first_collision(seq) is None:
             return combo, candidates
     return None
 

@@ -55,9 +55,9 @@ from dsslab import (
     scaled_abs_moment_sum,
     variance_identity_check,
     verify_distinct,
-    verify_distinct_by_sorting,
 )
 from dsslab.cli import build_config, run
+from dsslab.sequences import _gray_first_collision, _zero_sum_signs
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -348,18 +348,18 @@ def test_criterion_10_verifier_equivalence():
             vectors[i] = tuple(a + b for a, b in zip(vectors[j], vectors[l]))
             bound = max(max(v) for v in vectors)
             seq = VectorSequence(n, k, bound, tuple(vectors))
-        fast = verify_distinct(seq)
-        slow = verify_distinct_by_sorting(seq)
-        if (fast is None) != (slow is None):
+        # The pair count is called directly: at k = 1 most of these inputs
+        # are below the pigeonhole limit, where verify_distinct only walks.
+        walk = _gray_first_collision(seq)
+        if (_zero_sum_signs(seq) == 1) != (walk is None) or verify_distinct(seq) != walk:
             disagreements += 1
-        for witness in (fast, slow):
-            if witness is not None:
-                same_sum = subset_total(seq, witness.first) == subset_total(seq, witness.second)
-                if not same_sum or set(witness.first) == set(witness.second):
-                    bad_witness += 1
+        if walk is not None:
+            same_sum = subset_total(seq, walk.first) == subset_total(seq, walk.second)
+            if not same_sum or set(walk.first) == set(walk.second):
+                bad_witness += 1
     elapsed = time.perf_counter() - t0
     ok = disagreements == 0 and bad_witness == 0 and elapsed < 30.0
     line = _verdict(
-        10, ok, f"incremental verifier agrees with sorting oracle, 500 cases ({elapsed:.1f}s)"
+        10, ok, f"pair-count verifier agrees with the Gray walk, 500 cases ({elapsed:.1f}s)"
     )
     assert ok, f"{line}; disagreements={disagreements} bad_witness={bad_witness}"

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import json
 import math
+import random
 from pathlib import Path
 
 import pytest
@@ -263,6 +264,20 @@ def test_moments_mc_records_seed(good_file):
     other = json.loads(reseeded.stdout)
     assert other["seed"] == 7
     assert other["value"] != data["value"]
+
+
+def test_verify_budget_exit(tmp_path, capsys):
+    # 27 generic entries: the larger half needs 3^14 signed sums, past the
+    # default budget of 2^22, so verify is refused before that half merges.
+    rng = random.Random(27)
+    path = tmp_path / "generic27.seq"
+    values = [rng.randint(0, 1 << 40) for _ in range(27)]
+    path.write_text(f"27 1 {1 << 40}\n" + "".join(f"{v}\n" for v in values))
+    for fmt in ("text", "json"):
+        assert main(["verify", "--file", str(path), "--format", fmt]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert f"needs {3**14}, budget is {1 << 22}" in captured.err
 
 
 def test_moments_int64_guard_exit(tmp_path, capsys):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
@@ -84,6 +85,18 @@ def test_distribution_matches_product_oracle(coords):
     assert dist.total() == 2 ** len(coords)
     for p in (1, 2, 3):
         assert full_support_power_sum(dist, p) == sum(abs(s) ** p for s in sums), p
+
+
+@settings(max_examples=200)
+@given(_COORD_RANGES.flatmap(lambda hi: st.lists(st.integers(0, hi), max_size=8)))
+def test_three_sign_distribution_matches_product_oracle(coords):
+    sums = Counter(
+        sum(e * c for e, c in zip(signs, coords))
+        for signs in itertools.product((-1, 0, 1), repeat=len(coords))
+    )
+    dist = signed_sum_distribution(coords, signs=(-1, 0, 1))
+    assert dist.support == sums
+    assert dist.total() == 3 ** len(coords)
 
 
 @st.composite
@@ -202,6 +215,27 @@ def test_distribution_budget_counts_folded_support():
     with pytest.raises(BudgetExceededError) as err:
         signed_sum_distribution((16, 32, 16, 16), budget=5)
     assert (err.value.needed, err.value.budget) == (6, 5)
+
+
+def test_three_sign_budget_counts_folded_support():
+    # Step 32 merges 9 entries into 7: the bound min(3 * len, 2 * reach + 1)
+    # overstates them, and the exact count decides.
+    dist = signed_sum_distribution((16, 32), budget=7, signs=(-1, 0, 1))
+    assert dist.support == {-48: 1, -32: 1, -16: 2, 0: 1, 16: 2, 32: 1, 48: 1}
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution((16, 32), budget=6, signs=(-1, 0, 1))
+    assert (err.value.needed, err.value.budget) == (7, 6)
+
+
+def test_three_sign_guards_and_validation():
+    # Three signs put 3^n patterns in the counts.
+    assert signed_sum_distribution((0,) * 39, signs=(-1, 0, 1)).support == {0: 3**39}
+    with pytest.raises(BudgetExceededError) as err:
+        signed_sum_distribution((0,) * 40, signs=(-1, 0, 1))
+    assert (err.value.needed, err.value.budget) == (3**40, (1 << 63) - 1)
+    for signs in ((1,), (0, 1), (-1, 1, 0), (-2, 0, 2)):
+        with pytest.raises(ValueError):
+            signed_sum_distribution((1, 2), signs=signs)
 
 
 def test_distribution_int64_guards():

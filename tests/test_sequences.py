@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import itertools
+import random
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -19,9 +21,14 @@ from dsslab import (
     iter_gray_subset_sums,
     min_m_search,
     verify_distinct,
-    verify_distinct_by_sorting,
 )
-from dsslab.sequences import _bruteforce_level, _NodeBudget, _search_level
+from dsslab.sequences import (
+    _bruteforce_level,
+    _gray_first_collision,
+    _NodeBudget,
+    _search_level,
+    _zero_sum_signs,
+)
 
 
 def test_sequence_validation():
@@ -100,20 +107,25 @@ def test_gray_walk_sums_match_direct_recomputation():
         assert packed == expect
 
 
-def test_verifier_matches_sorting_oracle_on_randoms():
+def _check_witness(seq, witness):
+    assert set(witness.first) != set(witness.second)
+    assert subset_total(seq, witness.first) == subset_total(seq, witness.second)
+    assert subset_total(seq, witness.first) == witness.total
+
+
+def test_pair_count_matches_gray_walk_on_randoms():
+    # The pair count is called directly: most of these inputs are below the
+    # pigeonhole limit, where verify_distinct would only run the walk.
     rng = np.random.default_rng(12345)
     for trial in range(120):
         n = int(rng.integers(1, 13))
         k = int(rng.integers(1, 4))
         seq = random_sequence(rng, n, k, int(rng.integers(1, 7)))
-        fast = verify_distinct(seq)
-        slow = verify_distinct_by_sorting(seq)
-        assert (fast is None) == (slow is None), seq
-        for witness in (fast, slow):
-            if witness is not None:
-                assert set(witness.first) != set(witness.second)
-                assert subset_total(seq, witness.first) == subset_total(seq, witness.second)
-                assert subset_total(seq, witness.first) == witness.total
+        walk = _gray_first_collision(seq)
+        assert (_zero_sum_signs(seq) == 1) == (walk is None), seq
+        assert verify_distinct(seq) == walk
+        if walk is not None:
+            _check_witness(seq, walk)
 
 
 def test_verifier_finds_planted_collision():
@@ -129,8 +141,97 @@ def test_verifier_finds_planted_collision():
         planted[i] = tuple(a + b for a, b in zip(seq.vectors[j], seq.vectors[l]))
         bound = max(max(v) for v in planted)
         seq = VectorSequence(n, k, bound, tuple(planted))
-        assert verify_distinct(seq) is not None
-        assert verify_distinct_by_sorting(seq) is not None
+        # eps = 0 and the planted +-(e_i - e_j - e_l) at least
+        assert _zero_sum_signs(seq) >= 3
+        witness = verify_distinct(seq)
+        assert witness is not None and witness == _gray_first_collision(seq)
+        _check_witness(seq, witness)
+
+
+def test_zero_sum_signs_examples():
+    # eps = 0, and +-(1, 1, -1)
+    assert _zero_sum_signs(VectorSequence(3, 1, 3, ((1,), (2,), (3,)))) == 3
+    # a zero vector may take any of the three signs
+    assert _zero_sum_signs(VectorSequence(2, 2, 2, ((0, 0), (1, 2)))) == 3
+    assert _zero_sum_signs(VectorSequence(3, 1, 4, ((1,), (2,), (4,)))) == 1
+    assert _zero_sum_signs(VectorSequence(0, 2, 0, ())) == 1
+    # the radix separates coordinates: 1 - 2 + 1 = 0 in coordinate 0 only,
+    # and 4 * 1 = 4 cannot cancel a coordinate-1 digit of at most 3
+    assert _zero_sum_signs(VectorSequence(3, 2, 2, ((1, 0), (2, 1), (1, 2)))) == 1
+    assert _zero_sum_signs(VectorSequence(3, 2, 4, ((4, 0), (0, 1), (0, 2)))) == 1
+
+
+@st.composite
+def _small_sequences(draw, max_n):
+    n = draw(st.integers(0, max_n))
+    k = draw(st.integers(1, 3))
+    # Narrow components collide below the pigeonhole limit; wide ones are
+    # almost always distinct and make the walk enumerate every sum. The
+    # widest, 2^(40 // k), still packs into int64 at n = 16.
+    hi = draw(st.sampled_from((1, 3, 12, 200, 1 << 40 // k)))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, hi)] * k), min_size=n, max_size=n))
+    bound = max((c for vec in vectors for c in vec), default=0)
+    return VectorSequence(n, k, bound, tuple(vectors))
+
+
+@settings(max_examples=60)
+@given(_small_sequences(16))
+def test_pair_count_decision_matches_walk(seq):
+    assert (_zero_sum_signs(seq) == 1) == (_gray_first_collision(seq) is None)
+
+
+@settings(max_examples=150)
+@given(_small_sequences(12))
+def test_verify_distinct_is_walks_first_collision(seq):
+    # Both routes: pigeonhole-gated inputs go straight to the walk, the
+    # rest are decided by the pair count first.
+    assert verify_distinct(seq) == _gray_first_collision(seq)
+
+
+@settings(max_examples=60)
+@given(
+    st.integers(1, 3).flatmap(
+        lambda k: st.lists(
+            st.tuples(*[st.integers(0, 1 << 64)] * k), min_size=1, max_size=10
+        )
+    ),
+    st.integers(0, 9),
+)
+def test_wide_packing_verifies_through_walk(vectors, where):
+    # A vector of 2^63 components makes the radix prod_j (S_j + 1) pass
+    # 2^63, past what int64 can pack; such inputs are decided by the walk.
+    vectors[where % len(vectors)] = (1 << 63,) * len(vectors[0])
+    bound = max(c for vec in vectors for c in vec)
+    seq = VectorSequence(len(vectors), len(vectors[0]), bound, tuple(vectors))
+    with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
+        assert verify_distinct(seq) == _gray_first_collision(seq)
+
+
+def test_pigeonhole_gated_inputs_skip_the_pair_count():
+    # prod_j (S_j + 1) = 4 < 2^3: a collision is certain.
+    seq = VectorSequence(3, 1, 1, ((1,), (1,), (1,)))
+    with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
+        assert verify_distinct(seq) == _gray_first_collision(seq) is not None
+
+
+def test_bruteforce_oracle_runs_the_walk_only():
+    with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
+        assert _bruteforce_level(4, 1, 7, _NodeBudget(10**6)) is not None
+        assert _bruteforce_level(3, 2, 1, _NodeBudget(10**6)) is None
+
+
+def test_verify_default_budget_limits():
+    rng = random.Random(26)
+    generic = [(rng.randint(0, 1 << 40),) for _ in range(27)]
+    # n = 26 is the longest generic input whose halves (3^13 entries) fit.
+    assert verify_distinct(VectorSequence(26, 1, 1 << 40, tuple(generic[:26]))) is None
+    # At n = 27 the larger half needs 3^14 entries, and is refused.
+    with pytest.raises(BudgetExceededError) as err:
+        verify_distinct(VectorSequence(27, 1, 1 << 40, tuple(generic)))
+    assert (err.value.needed, err.value.budget) == (3**14, 1 << 22)
+    # A folding input passes at VERIFY_MAX_N.
+    for k in (1, 2, 3):
+        assert verify_distinct(baseline_construction(30, k)) is None
 
 
 def test_verify_budget_cap():
