@@ -42,13 +42,11 @@ from .moments import (
 )
 from .pnorm import (
     LatticeShellSummary,
-    ball_surface,
     ball_volume,
     gamma_fn,
     gamma_root,
     lattice_count_check,
     lattice_shell_enumerate,
-    lattice_shell_points,
     log_gamma,
     max_enumerable_n,
     radius_for_count,

@@ -11,7 +11,11 @@ entries (Horowitz-Sahni), through exact prefix power sums, so the full
 DP over the signs {-1, 0, +1} decides distinct subset sums in sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
-standard error, bit-for-bit reproducible from (seed, samples, seq, p).
+standard error, bit-for-bit reproducible from (seed, samples, seq, p) on
+any host. It reads signs straight off the generator's raw bits and sums X
+from per-byte tables of signed sums in a fixed order. While every
+coordinate sum S_j is at most 2^53 that sum is exact; above 2^53 it is a
+fixed-order float sum.
 """
 
 from __future__ import annotations
@@ -34,7 +38,6 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_TABLE_BUDGET",
-    "MC_CHUNK",
     "SignedSumDistribution",
     "signed_sum_distribution",
     "MomentValue",
@@ -51,9 +54,10 @@ __all__ = [
 # after any one coordinate.
 DEFAULT_TABLE_BUDGET = 1 << 22
 
-# Monte Carlo block size. Fixed: summation order is part of the
-# reproducibility contract, so the chunking must not depend on the host.
-MC_CHUNK = 1 << 15
+# Monte Carlo rows processed at a time. No result depends on it: the sign
+# draws form one stream and every sample keeps its own value. It is even,
+# so every block but the last draws whole 64-bit words.
+_MC_BLOCK = 1 << 12
 
 # Largest signed sum, and largest count, the int64 arrays can hold.
 _INT64_MAX = np.iinfo(np.int64).max
@@ -283,27 +287,71 @@ def extremal_moment(n: int, k: int, bound: int, p: int) -> MomentValue:
     return MomentValue(p=p, value=value, provenance="closed_form", stderr=None, samples=None)
 
 
+def _sign_tables(seq: VectorSequence) -> list[np.ndarray]:
+    """One 2^m x k float table per run of m <= 8 entries, in entry order.
+
+    Row v of a run's table is 0.5 * sum_i (+-a_i), entry i of the run
+    taking the plus sign when bit i of v is set. Each row is summed
+    exactly in Python ints and rounded to float once.
+    """
+    tables = []
+    for start in range(0, seq.n, 8):
+        columns = []
+        for column in zip(*seq.vectors[start : start + 8]):
+            sums = [0]
+            for c in column:
+                sums = [s - c for s in sums] + [s + c for s in sums]
+            columns.append([s / 2 for s in sums])
+        tables.append(np.array(columns, dtype=np.float64).T.copy())
+    return tables
+
+
+def _draw_signs(bits: np.random.BitGenerator, out: np.ndarray) -> None:
+    """Fill the bool array out, row by row, with the next out.size sign bits.
+
+    Bit t is the top bit of 32-bit word t of the stream, each raw 64-bit
+    draw giving its low half first, so out matches
+    rng.integers(0, 2, size=out.shape) == 1 bit for bit: at range 2,
+    Lemire's method keeps the top bit of a 32-bit word and never rejects.
+    An odd count leaves the high half of the last draw unused, as
+    rng.integers does.
+    """
+    words = out.size
+    halves = bits.random_raw((words + 1) // 2).view("<i4")[:words]
+    np.less(halves.reshape(out.shape), 0, out=out)
+
+
 def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> MomentValue:
     """Monte Carlo estimate of E[||X||_p^p] with standard error.
 
-    Signs are drawn in fixed-size blocks from numpy's seeded generator;
-    block size and accumulation order are fixed, so identical inputs give
-    bit-identical results on any host. Accepts any real p > 0.
+    The samples' signs are one stream from numpy's seeded generator
+    (_draw_signs), sample s taking bits s*n .. s*n + n - 1. Each sample's
+    sign bits, packed into bytes, index one table per run of 8 entries
+    (_sign_tables), and X is the sum of the rows looked up, in entry
+    order. While every coordinate sum S_j is at most 2^53, each table row
+    and each partial sum is exact, so X is exact: the value any order of
+    summation gives. Above 2^53 the fixed order still makes X the same
+    float on every host. Identical inputs thus give bit-identical results
+    on any host, and the number of rows processed at a time changes none
+    of them. Accepts any real p > 0.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if not p > 0:
         raise ValueError(f"need p > 0, got {p}")
-    rng = np.random.default_rng(seed)
-    matrix = np.asarray(seq.vectors, dtype=np.float64).reshape(seq.n, seq.k)
+    bits = np.random.default_rng(seed).bit_generator
+    tables = _sign_tables(seq)
+    # Sign bits of a block, each row padded with False to whole bytes.
+    signs = np.zeros((_MC_BLOCK, 8 * len(tables)), dtype=bool)
     values = np.empty(samples, dtype=np.float64)
-    done = 0
-    while done < samples:
-        block = min(MC_CHUNK, samples - done)
-        signs = rng.integers(0, 2, size=(block, seq.n)).astype(np.float64) * 2.0 - 1.0
-        x = (signs @ matrix) * 0.5
-        values[done : done + block] = (np.abs(x) ** p).sum(axis=1)
-        done += block
+    for done in range(0, samples, _MC_BLOCK):
+        rows = min(_MC_BLOCK, samples - done)
+        _draw_signs(bits, signs[:rows, : seq.n])
+        packed = np.packbits(signs[:rows], bitorder="little").reshape(rows, len(tables))
+        x = np.zeros((rows, seq.k))
+        for b, table in enumerate(tables):
+            x += np.take(table, packed[:, b], axis=0)
+        values[done : done + rows] = (np.abs(x) ** p).sum(axis=1)
     mean = float(values.mean())
     if samples == 1:
         stderr = None

@@ -1,8 +1,8 @@
 """Continuous p-norm ball geometry and discrete lattice-shell enumeration.
 
-The continuous side: volume and surface of the p-norm ball in R^k and the
-radius whose ball holds a prescribed count. The discrete side: enumerate
-the 2^n lattice points of Z^k closest to the origin in p-norm and compare
+The continuous side: volume of the p-norm ball in R^k and the radius
+whose ball holds a prescribed count. The discrete side: enumerate the
+2^n lattice points of Z^k closest to the origin in p-norm and compare
 their exact p-power-norm sum against the continuum prediction
 
     (k/(k+p)) * 2^n * R^p,   V_{k,p}(R) = 2^n.
@@ -17,14 +17,11 @@ and the last coordinate is settled in closed form: an exact integer p-th
 root counts the ball, and Faulhaber's formula sums its norms. Memory is
 O((t + 1)^(k-1)) per query, while the budget still counts the nominal
 points of the box [-t, t]^k, so every limit is that of a full box.
-`lattice_shell_points` keeps the pure-Python full-box loop as the
-independent oracle.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -39,11 +36,9 @@ __all__ = [
     "log_gamma",
     "gamma_root",
     "ball_volume",
-    "ball_surface",
     "radius_for_count",
     "LatticeShellSummary",
     "lattice_shell_enumerate",
-    "lattice_shell_points",
     "lattice_count_check",
     "max_enumerable_n",
     "DEFAULT_ENUM_BUDGET",
@@ -152,13 +147,6 @@ def ball_volume(k: int, p: int, r: float) -> float:
         raise ValueError(f"radius must be nonnegative, got {r}")
     unit = (2.0 * gamma_fn(1.0 + 1.0 / p)) ** k / gamma_fn(1.0 + k / p)
     return unit * r**k
-
-
-def ball_surface(k: int, p: int, r: float) -> float:
-    """Surface measure of the p-norm ball boundary: k * V(r) / r."""
-    if r <= 0:
-        raise ValueError(f"surface needs positive radius, got {r}")
-    return k * ball_volume(k, p, r) / r
 
 
 def radius_for_count(n: int, k: int, p: int) -> float:
@@ -387,30 +375,6 @@ def lattice_shell_enumerate(
         r_continuous=r_cont,
         continuum_ratio=ratio,
     )
-
-
-def lattice_shell_points(
-    n: int, k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET
-) -> list[tuple[tuple[int, ...], int]]:
-    """The selected points themselves, as (point, norm^p) pairs.
-
-    Pure-Python reference path over the final box of _grow_box. Order is
-    the deterministic tie-break: ascending exact p-power norm, then
-    lexicographic on coordinates. Intended for cross-checking the
-    vectorized summary at small sizes.
-    """
-    if n < 0:
-        raise ValueError(f"count exponent must be nonnegative, got {n}")
-    _validate_lattice_args(k, p)
-    t, _ = _grow_box(n, k, p, budget, "lattice point enumeration")
-    cutoff = t**p
-    kept = []
-    for point in itertools.product(range(-t, t + 1), repeat=k):
-        norm = sum(abs(c) ** p for c in point)
-        if norm <= cutoff:
-            kept.append((point, norm))
-    kept.sort(key=lambda item: (item[1], item[0]))
-    return kept[: 1 << n]
 
 
 def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:

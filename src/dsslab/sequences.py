@@ -10,8 +10,9 @@ the pairs of half sums that cancel, in O(3^(n/2)). The sums are
 distinct exactly when that count is 1. Only to name a collision does it
 walk subsets in Gray-code order, where each step updates the running sum
 by one vector and a packed sum (mixed radix n*M + 1) is one hash probe,
-until the first repeat. The walk also settles the inputs that pigeonhole
-already condemns and those too wide to pack into int64.
+until the first repeat, within the DP's budget of 2^22 sums. The walk
+also settles the inputs that pigeonhole already condemns and those too
+wide to pack into int64.
 
 The searcher iterates M upward and runs a depth-first search over
 canonical candidate sequences per level, refuting each M below the
@@ -34,7 +35,7 @@ import numpy as np
 
 from .bounds import METHOD_TOKENS, lower_bound
 from .errors import BudgetExceededError
-from .moments import signed_sum_distribution
+from .moments import DEFAULT_TABLE_BUDGET, signed_sum_distribution
 
 __all__ = [
     "VERIFY_MAX_N",
@@ -55,7 +56,8 @@ __all__ = [
 # Largest n verify_distinct accepts. Below it the pair count's half
 # supports obey the DP's budget of 2^22 entries: every input up to n = 26
 # fits (3^13 entries a half), and longer ones fit when their half sums
-# fold, as baseline_construction(30, k)'s do; the rest are refused.
+# fold, as baseline_construction(30, k)'s do; the rest are refused. The
+# Gray walk keeps to the same budget of 2^22 sums.
 VERIFY_MAX_N = 30
 
 # Search nodes are candidate vector placements; one node per attempt.
@@ -161,10 +163,17 @@ def iter_gray_subset_sums(seq: VectorSequence) -> Iterator[tuple[int, int]]:
         yield gray, current
 
 
-def _gray_first_collision(seq: VectorSequence) -> Collision | None:
-    """The first repeated sum of the Gray-code walk, or None after all 2^n sums."""
+def _gray_first_collision(
+    seq: VectorSequence, budget: int = DEFAULT_TABLE_BUDGET
+) -> Collision | None:
+    """The first repeated sum of the Gray-code walk, or None after all 2^n sums.
+
+    The walk keeps a dict of every sum it has seen, so it visits at most
+    budget subsets; when the budget runs out before a repeat or the end of
+    the walk, BudgetExceededError is raised.
+    """
     seen = {}
-    for mask, packed in iter_gray_subset_sums(seq):
+    for mask, packed in itertools.islice(iter_gray_subset_sums(seq), budget):
         other = seen.get(packed)
         if other is not None:
             return Collision(
@@ -173,6 +182,8 @@ def _gray_first_collision(seq: VectorSequence) -> Collision | None:
                 total=_subset_total(seq, mask),
             )
         seen[packed] = mask
+    if budget < 1 << seq.n:
+        raise BudgetExceededError(f"Gray walk saw {budget} subset sums and no repeat", None, budget)
     return None
 
 
@@ -212,7 +223,8 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
     name a collision. The packed radix prod_j (S_j + 1) sends two kinds of
     input to the walk alone: below 2^n, pigeonhole forces a collision, and
     from 2^63 on, the packed sums do not fit in int64. A half whose support
-    passes the DP budget raises BudgetExceededError.
+    passes the DP budget, or a walk that sees DEFAULT_TABLE_BUDGET sums,
+    fewer than 2^n, without a repeat, raises BudgetExceededError.
     """
     if seq.n > VERIFY_MAX_N:
         raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)

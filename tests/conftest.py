@@ -9,6 +9,7 @@ deadline, so every run draws the same examples; tests set only their
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -17,12 +18,14 @@ from hypothesis import settings
 from dsslab import (
     METHOD_FIRST,
     METHOD_THIRD,
+    MomentValue,
     SignedSumDistribution,
     VectorSequence,
     closed_form_s1,
     closed_form_s3,
     radius_for_count,
 )
+from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _grow_box, _validate_lattice_args
 
 settings.register_profile("dsslab", deadline=None, derandomize=True, database=None)
 settings.load_profile("dsslab")
@@ -77,3 +80,47 @@ def conway_guy(n: int) -> VectorSequence:
         u.append(2 * u[m] - u[m - round(math.sqrt(2 * m))])
     values = [u[n] - u[n - i] for i in range(1, n + 1)]
     return VectorSequence(n, 1, max(values, default=0), tuple((v,) for v in values))
+
+
+def lattice_shell_points(
+    n: int, k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET
+) -> list[tuple[tuple[int, ...], int]]:
+    """The 2^n selected shell points themselves, as (point, norm^p) pairs:
+    the pure-Python full-box oracle for lattice_shell_enumerate's slice core.
+
+    Loops over the final box of _grow_box, so budget refusals match the
+    core's. Order is the deterministic tie-break: ascending exact p-power
+    norm, then lexicographic on coordinates.
+    """
+    if n < 0:
+        raise ValueError(f"count exponent must be nonnegative, got {n}")
+    _validate_lattice_args(k, p)
+    t, _ = _grow_box(n, k, p, budget, "lattice point enumeration")
+    cutoff = t**p
+    kept = []
+    for point in itertools.product(range(-t, t + 1), repeat=k):
+        norm = sum(abs(c) ** p for c in point)
+        if norm <= cutoff:
+            kept.append((point, norm))
+    kept.sort(key=lambda item: (item[1], item[0]))
+    return kept[: 1 << n]
+
+
+def mc_estimate_by_matmul(seq: VectorSequence, p: float, samples: int, seed: int) -> MomentValue:
+    """mc_estimate as a float matmul: the oracle for its table lookups.
+
+    Draws the signs with rng.integers in blocks of 2^15 rows, as +-1
+    floats, and multiplies them into the float matrix of the sequence.
+    Exact, and so order-free, while every coordinate sum is at most 2^53.
+    """
+    rng = np.random.default_rng(seed)
+    matrix = np.asarray(seq.vectors, dtype=np.float64).reshape(seq.n, seq.k)
+    values = np.empty(samples, dtype=np.float64)
+    for done in range(0, samples, 1 << 15):
+        block = min(1 << 15, samples - done)
+        signs = rng.integers(0, 2, size=(block, seq.n)).astype(np.float64) * 2.0 - 1.0
+        values[done : done + block] = (np.abs((signs @ matrix) * 0.5) ** p).sum(axis=1)
+    stderr = None if samples == 1 else float(values.std(ddof=1) / np.sqrt(samples))
+    return MomentValue(
+        p=p, value=float(values.mean()), provenance="monte_carlo", stderr=stderr, samples=samples
+    )

@@ -2,15 +2,17 @@
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import random
 from pathlib import Path
+from unittest import mock
 
 import pytest
 
 from conftest import conway_guy
-from dsslab import VectorSequence, crossover_table, exact_moment, verify_distinct
+from dsslab import VectorSequence, crossover_table, exact_moment, sequences, verify_distinct
 from dsslab.cli import DEFAULT_SEED, build_config, main, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
@@ -278,6 +280,20 @@ def test_verify_budget_exit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"needs {3**14}, budget is {1 << 22}" in captured.err
+
+
+def test_verify_gray_walk_budget_exit(tmp_path, capsys):
+    # 1, 2, 4, ..., 64 and 3 sum to 130 < 2^8, so pigeonhole sends verify
+    # to the walk, whose first repeat is its 129th sum: past a budget of 128.
+    path = tmp_path / "doubling.seq"
+    path.write_text("8 1 64\n" + "".join(f"{v}\n" for v in (1, 2, 4, 8, 16, 32, 64, 3)))
+    walk = functools.partial(sequences._gray_first_collision, budget=128)
+    with mock.patch("dsslab.sequences._gray_first_collision", walk):
+        for fmt in ("text", "json"):
+            assert main(["verify", "--file", str(path), "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert "Gray walk saw 128 subset sums and no repeat: budget is 128" in captured.err
 
 
 def test_moments_int64_guard_exit(tmp_path, capsys):

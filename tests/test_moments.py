@@ -10,10 +10,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conway_guy, full_support_power_sum, random_sequence
+from conftest import conway_guy, full_support_power_sum, mc_estimate_by_matmul, random_sequence
 from dsslab import (
     BudgetExceededError,
     VectorSequence,
@@ -363,6 +363,80 @@ def test_mc_estimate_validation():
     # unlike the exact path, any real p > 0 is fair game here
     mv = mc_estimate(seq, 2.5, samples=16, seed=1)
     assert mv.value >= 0.0
+
+
+@st.composite
+def _mc_inputs(draw, low, high):
+    """(seq, p, samples, seed) with every component in [low, high]."""
+    n = draw(st.integers(0, 20))
+    k = draw(st.integers(1, 4))
+    vectors = draw(
+        st.lists(st.tuples(*[st.integers(low, high)] * k), min_size=n, max_size=n)
+    )
+    bound = max((c for vec in vectors for c in vec), default=0)
+    seq = VectorSequence(n, k, bound, tuple(vectors))
+    pinned = st.sampled_from((1, 2, 3, 17, 4095, 4096, 4097))
+    samples = draw(st.one_of(pinned, st.integers(1, 9000)))
+    p = draw(st.sampled_from((0.5, 1, 1.5, 2, 3)))
+    return seq, p, samples, draw(st.integers(0, 2**32))
+
+
+@settings(max_examples=120)
+@given(_mc_inputs(0, 2**53 // 20))
+@example((VectorSequence(3, 1, 4, ((1,), (2,), (4,))), 2, 1, 5))
+@example((VectorSequence(3, 2, 9, ((1, 9), (2, 0), (7, 4))), 1, 4097, 8))
+@example((VectorSequence(1, 1, 2**53, ((2**53,),)), 3, 3, 1))
+def test_mc_estimate_equals_matmul_oracle_exactly(inputs):
+    # Every coordinate sum is at most 2^53, so both routes sum exactly.
+    # The examples pin samples = 1 and odd samples * n, whose last sign
+    # draw leaves half a raw word unused.
+    seq, p, samples, seed = inputs
+    got = mc_estimate(seq, p, samples, seed)
+    assert got == mc_estimate_by_matmul(seq, p, samples, seed)
+
+
+@settings(max_examples=60)
+@given(_mc_inputs(2**53, 2**62))
+def test_mc_estimate_near_matmul_oracle_above_2_53(inputs):
+    # Past 2^53 the matmul rounds in its BLAS kernel's order, the tables
+    # once per entry and then in entry order: equal to 1e-12, stated.
+    seq, p, samples, seed = inputs
+    got = mc_estimate(seq, p, samples, seed)
+    want = mc_estimate_by_matmul(seq, p, samples, seed)
+    assert math.isclose(got.value, want.value, rel_tol=1e-12, abs_tol=0.0)
+    if samples == 1:
+        assert got.stderr is want.stderr is None
+    else:
+        assert math.isclose(got.stderr, want.stderr, rel_tol=1e-12, abs_tol=0.0)
+
+
+@pytest.mark.parametrize("rows, n", [(1, 1), (3, 7), (4, 7), (5, 20), (17, 0)])
+def test_raw_sign_bits_equal_integer_draws(rows, n):
+    # The sampler relies on rng.integers(0, 2) keeping the top bit of each
+    # 32-bit word, low half of a raw draw first; rows * n odd and even.
+    for seed in (0, 1, 2**31 + 7):
+        got = np.empty((rows, n), dtype=bool)
+        moments._draw_signs(np.random.default_rng(seed).bit_generator, got)
+        assert np.array_equal(got, np.random.default_rng(seed).integers(0, 2, size=(rows, n)) == 1)
+
+
+def test_sign_draws_continue_one_stream():
+    # Blocks of an even word count pick up where the last one stopped, so
+    # successive draws read as one rng.integers call; the last may be odd.
+    bits = np.random.default_rng(9).bit_generator
+    got = np.empty((2 * 4096 + 5, 7), dtype=bool)
+    for block in (slice(0, 4096), slice(4096, 8192), slice(8192, None)):
+        moments._draw_signs(bits, got[block])
+    assert np.array_equal(got, np.random.default_rng(9).integers(0, 2, size=got.shape) == 1)
+
+
+@pytest.mark.parametrize("block", [2, 6, 1 << 15])
+def test_mc_estimate_does_not_depend_on_block_size(block, monkeypatch):
+    rng = np.random.default_rng(404)
+    seqs = [random_sequence(rng, n, k, 1000) for n, k in ((7, 3), (13, 1), (20, 4))]
+    want = [mc_estimate(seq, 3, 4097, seed) for seed, seq in enumerate(seqs)]
+    monkeypatch.setattr(moments, "_MC_BLOCK", block)
+    assert [mc_estimate(seq, 3, 4097, seed) for seed, seq in enumerate(seqs)] == want
 
 
 def test_convexity_probe_finds_nothing():

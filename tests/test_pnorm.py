@@ -10,16 +10,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import lattice_shell_points
 from dsslab import (
     BudgetExceededError,
     LatticeShellSummary,
-    ball_surface,
     ball_volume,
     gamma_fn,
     gamma_root,
     lattice_count_check,
     lattice_shell_enumerate,
-    lattice_shell_points,
     log_gamma,
     max_enumerable_n,
     radius_for_count,
@@ -98,19 +97,6 @@ def test_ball_volume_examples():
 def test_ball_volume_scales_with_radius():
     base = ball_volume(3, 1, 1.0)
     assert abs(ball_volume(3, 1, 2.0) - 8.0 * base) < 1e-12 * base
-
-
-def test_ball_surface_examples():
-    assert abs(ball_surface(2, 2, 1.0) - 2.0 * math.pi) < 1e-14
-    assert abs(ball_surface(3, 2, 1.0) - 4.0 * math.pi) < 1e-13
-
-
-def test_surface_is_radial_derivative_of_volume():
-    for k, p in itertools.product(range(1, 5), range(1, 5)):
-        for r in (0.5, 1.0, 2.0, 10.0):
-            vol = ball_volume(k, p, r)
-            surf = ball_surface(k, p, r)
-            assert abs(surf * r - k * vol) <= 1e-10 * max(1.0, k * vol), (k, p, r)
 
 
 def test_ball_validation():

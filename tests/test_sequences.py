@@ -15,6 +15,7 @@ from conftest import random_sequence, subset_total
 from dsslab import (
     SEARCH_LIMITS,
     BudgetExceededError,
+    Collision,
     VectorSequence,
     baseline_construction,
     bound_vs_search_report,
@@ -212,6 +213,30 @@ def test_pigeonhole_gated_inputs_skip_the_pair_count():
     seq = VectorSequence(3, 1, 1, ((1,), (1,), (1,)))
     with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
         assert verify_distinct(seq) == _gray_first_collision(seq) is not None
+
+
+def test_gray_walk_budget_bounds_the_first_repeat():
+    # The 2^7 subset sums of 1, 2, ..., 64 are distinct, and the walk
+    # reaches the 3 only after all of them: its first repeat, 64 + 3 =
+    # 1 + 2 + 64, is the (2^7 + 1)-th sum it sees.
+    values = (1, 2, 4, 8, 16, 32, 64, 3)
+    seq = VectorSequence(8, 1, 64, tuple((v,) for v in values))
+    need = (1 << 7) + 1
+    collision = Collision(first=(0, 1, 6), second=(6, 7), total=(67,))
+    assert _gray_first_collision(seq, budget=need) == collision
+    assert verify_distinct(seq) == collision
+    with pytest.raises(BudgetExceededError) as err:
+        _gray_first_collision(seq, budget=need - 1)
+    assert (err.value.needed, err.value.budget) == (None, need - 1)
+
+
+def test_gray_walk_budget_covers_a_distinct_walk():
+    # A distinct input needs all 2^n sums: refused one short of them.
+    seq = VectorSequence(4, 1, 8, ((1,), (2,), (4,), (8,)))
+    assert _gray_first_collision(seq, budget=16) is None
+    with pytest.raises(BudgetExceededError) as err:
+        _gray_first_collision(seq, budget=15)
+    assert (err.value.needed, err.value.budget) == (None, 15)
 
 
 def test_bruteforce_oracle_runs_the_walk_only():
