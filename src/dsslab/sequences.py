@@ -8,11 +8,13 @@ integers in mixed radix S_j + 1, S_j being coordinate j's sum, builds one
 exact {-1, 0, +1} signed-sum distribution per half of them, and counts
 the pairs of half sums that cancel, in O(3^(n/2)). The sums are
 distinct exactly when that count is 1. Only to name a collision does it
-walk subsets in Gray-code order, where each step updates the running sum
-by one vector and a packed sum (mixed radix n*M + 1) is one hash probe,
-until the first repeat, within the DP's budget of 2^22 sums. The walk
-also settles the inputs that pigeonhole already condemns and those too
-wide to pack into int64.
+walk subsets in Gray-code order, to the first repeat and within the
+DP's budget of 2^22 sums. The walk doubles its walked prefix level by
+level: the next 2^j packed sums (mixed radix n*M + 1) are the first 2^j
+in reverse, shifted by vector j, and they are looked up block by block
+in the walked sums kept sorted, 16 bytes per walked sum. The walk also
+settles the inputs that pigeonhole already condemns and those too wide
+to pack into int64, on Python ints.
 
 The searcher iterates M upward and runs a depth-first search over
 canonical candidate sequences per level, refuting each M below the
@@ -57,7 +59,9 @@ __all__ = [
 # supports obey the DP's budget of 2^22 entries: every input up to n = 26
 # fits (3^13 entries a half), and longer ones fit when their half sums
 # fold, as baseline_construction(30, k)'s do; the rest are refused. The
-# Gray walk keeps to the same budget of 2^22 sums.
+# Gray walk looks at no more than 2^22 sums. It holds at most 2^21 of
+# them, in int64, in step order and sorted (32 MB), and a full 2^22-sum
+# walk peaks 57 MB above the interpreter while merging its last level.
 VERIFY_MAX_N = 30
 
 # Search nodes are candidate vector placements; one node per attempt.
@@ -67,6 +71,10 @@ DEFAULT_NODE_BUDGET = 10**8
 # pruning-free oracle takes 22 s at (7, 2), 1.9 s at (7, 4) and 112 s at
 # (8, 3), on 2 shared vCPUs.
 SEARCH_LIMITS = {1: 7, 2: 6, 3: 7, 4: 6}
+
+# New Gray-walk sums looked up per numpy call while a level is searched
+# for its first repeat.
+_PROBE_BLOCK = 2048
 
 
 @dataclass(frozen=True)
@@ -168,20 +176,45 @@ def _gray_first_collision(
 ) -> Collision | None:
     """The first repeated sum of the Gray-code walk, or None after all 2^n sums.
 
-    The walk keeps a dict of every sum it has seen, so it visits at most
-    budget subsets; when the budget runs out before a repeat or the end of
-    the walk, BudgetExceededError is raised.
+    The first 2^(j+1) steps of the reflected Gray code are the first 2^j
+    steps, then the same subsets in reverse order with vector j added. So
+    with `walk` the packed sums of steps 0..2^j-1 (all distinct, or the
+    walk would have stopped), the next 2^j sums are walk[::-1] + a_j, and
+    these are distinct among themselves. The first repeat of the level is
+    therefore the first of them found among the earlier sums, and its
+    partner is the one earlier step with that sum: each block of
+    _PROBE_BLOCK new sums, in step order, is looked up in the earlier sums
+    kept sorted. Only a clean level is appended to `walk`, and its
+    sorted sums, the old ones shifted by a_j, are merged in by a stable
+    sort of the two sorted runs. That holds 16 bytes per walked sum. The
+    sums are int64 while (n*M + 1)^k < 2^63 and Python ints past it.
+
+    At most budget steps are looked at; when the budget runs out before a
+    repeat or the end of the walk, BudgetExceededError is raised.
     """
-    seen = {}
-    for mask, packed in itertools.islice(iter_gray_subset_sums(seq), budget):
-        other = seen.get(packed)
-        if other is not None:
-            return Collision(
-                first=_mask_indices(other),
-                second=_mask_indices(mask),
-                total=_subset_total(seq, mask),
-            )
-        seen[packed] = mask
+    wide = (seq.n * seq.bound + 1) ** seq.k >= 1 << 63
+    limit = min(budget, 1 << seq.n)
+    walk = ordered = np.zeros(1, dtype=object if wide else np.int64)
+    for j, vec in enumerate(_packed_vectors(seq)):
+        half = 1 << j
+        back = walk[::-1]
+        for lo in range(0, min(half, limit - half), _PROBE_BLOCK):
+            sums = back[lo : min(lo + _PROBE_BLOCK, limit - half)] + vec
+            found = ordered[np.minimum(ordered.searchsorted(sums), half - 1)] == sums
+            if found.any():
+                t = int(found.argmax())
+                earlier = int(np.flatnonzero(walk == sums[t])[0])
+                first, second = (step ^ step >> 1 for step in (earlier, half + lo + t))
+                return Collision(
+                    first=_mask_indices(first),
+                    second=_mask_indices(second),
+                    total=_subset_total(seq, second),
+                )
+        if 2 * half >= limit:
+            break
+        walk = np.concatenate((walk, back + vec))
+        ordered = np.concatenate((ordered, ordered + vec))
+        ordered.sort(kind="stable")
     if budget < 1 << seq.n:
         raise BudgetExceededError(f"Gray walk saw {budget} subset sums and no repeat", None, budget)
     return None
@@ -328,13 +361,19 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
 
 
 def _bruteforce_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
-    """Pruning-free reference: try every increasing sequence, verify whole."""
+    """Pruning-free reference: try every increasing sequence, and keep the
+    first whose Gray-walk sums never repeat, by a set of the sums seen."""
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
     for combo in itertools.combinations(range(len(candidates)), n):
         budget.tick()
         vectors = tuple(candidates[i] for i in combo)
         seq = VectorSequence(n=n, k=k, bound=m, vectors=vectors)
-        if _gray_first_collision(seq) is None:
+        seen = set()
+        for _, packed in iter_gray_subset_sums(seq):
+            if packed in seen:
+                break
+            seen.add(packed)
+        else:
             return combo, candidates
     return None
 

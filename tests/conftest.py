@@ -18,11 +18,14 @@ from hypothesis import settings
 from dsslab import (
     METHOD_FIRST,
     METHOD_THIRD,
+    BudgetExceededError,
+    Collision,
     MomentValue,
     SignedSumDistribution,
     VectorSequence,
     closed_form_s1,
     closed_form_s3,
+    iter_gray_subset_sums,
     radius_for_count,
 )
 from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _grow_box, _validate_lattice_args
@@ -50,6 +53,26 @@ def subset_total(seq: VectorSequence, indices) -> tuple:
         for j in range(seq.k):
             total[j] += seq.vectors[i][j]
     return tuple(total)
+
+
+def gray_first_collision_by_dict(seq: VectorSequence, budget: int) -> Collision | None:
+    """_gray_first_collision as one dict probe per Gray-walk sum: its oracle.
+
+    Looks at the first `budget` sums of iter_gray_subset_sums and returns
+    the first repeat with the earlier subset of the same sum; refuses, with
+    the walk's message, a budget that ends short of a repeat and of 2^n.
+    """
+    seen = {}
+    for mask, packed in itertools.islice(iter_gray_subset_sums(seq), budget):
+        other = seen.setdefault(packed, mask)
+        if other != mask:
+            first, second = (
+                tuple(i for i in range(seq.n) if m >> i & 1) for m in (other, mask)
+            )
+            return Collision(first=first, second=second, total=subset_total(seq, second))
+    if budget < 1 << seq.n:
+        raise BudgetExceededError(f"Gray walk saw {budget} subset sums and no repeat", None, budget)
+    return None
 
 
 def recomputed_finite_bound(n: int, k: int, method: str) -> float | None:

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import random_sequence, subset_total
+from conftest import gray_first_collision_by_dict, random_sequence, subset_total
 from dsslab import (
     SEARCH_LIMITS,
     BudgetExceededError,
@@ -239,8 +239,82 @@ def test_gray_walk_budget_covers_a_distinct_walk():
     assert (err.value.needed, err.value.budget) == (None, 15)
 
 
+def _gray_step(mask: int) -> int:
+    """The step at which the Gray walk visits subset `mask`: the inverse Gray code."""
+    step = 0
+    while mask:
+        step ^= mask
+        mask >>= 1
+    return step
+
+
+def _walk_outcome(walk, seq, budget):
+    """The walk's Collision or None, or its refusal as (message, needed, budget)."""
+    try:
+        return walk(seq, budget)
+    except BudgetExceededError as err:
+        return str(err), err.needed, err.budget
+
+
+def _first_repeat_need(seq) -> int:
+    """The fewest sums the walk must see to return: up to its first repeat, else all 2^n."""
+    first = gray_first_collision_by_dict(seq, 1 << seq.n)
+    if first is None:
+        return 1 << seq.n
+    return _gray_step(sum(1 << i for i in first.second)) + 1
+
+
+@st.composite
+def _colliding_sequences(draw):
+    # Components of at most 6 make repeats common well below 2^n.
+    n = draw(st.integers(0, 16))
+    k = draw(st.integers(1, 3))
+    vectors = draw(st.lists(st.tuples(*[st.integers(0, 6)] * k), min_size=n, max_size=n))
+    bound = max((c for vec in vectors for c in vec), default=0)
+    return VectorSequence(n, k, bound, tuple(vectors))
+
+
+@settings(max_examples=300)
+@given(_colliding_sequences(), st.data())
+def test_gray_walk_matches_dict_oracle(seq, data):
+    need = _first_repeat_need(seq)
+    budget = data.draw(st.sampled_from((need - 1, need, need + 1)) | st.integers(0, 2 * need))
+    outcome = _walk_outcome(_gray_first_collision, seq, budget)
+    assert outcome == _walk_outcome(gray_first_collision_by_dict, seq, budget)
+    assert isinstance(outcome, tuple) == (budget < need)
+
+
+def test_gray_walk_object_path_matches_dict_oracle():
+    # A 2^63 component puts (n*M + 1)^k past 2^63: the walk keeps Python ints.
+    rng = random.Random(63)
+    for trial in range(40):
+        n, k = rng.randint(1, 12), rng.randint(1, 3)
+        vectors = [tuple(rng.choice((0, 1, 2, 5, 1 << 63)) for _ in range(k)) for _ in range(n)]
+        vectors[rng.randrange(n)] = (1 << 63,) * k
+        seq = VectorSequence(n, k, 1 << 63, tuple(vectors))
+        need = _first_repeat_need(seq)
+        for budget in (need - 1, need, 1 << 22):
+            outcome = _walk_outcome(_gray_first_collision, seq, budget)
+            assert outcome == _walk_outcome(gray_first_collision_by_dict, seq, budget), seq
+
+
+def test_gray_walk_matches_dict_oracle_at_the_pigeonhole_limit():
+    # n = 24 with M the largest bound for which (n*M + 1)^k < 2^24, for
+    # k = 1 and 2: every input collides, most of them after 2^10 to 2^15 sums.
+    rng = np.random.default_rng(24)
+    for trial in range(20):
+        k = 1 + trial % 2
+        seq = random_sequence(rng, 24, k, {1: 699_050, 2: 170}[k])
+        walk = _gray_first_collision(seq)
+        assert walk is not None
+        assert walk == gray_first_collision_by_dict(seq, 1 << 22) == verify_distinct(seq)
+
+
 def test_bruteforce_oracle_runs_the_walk_only():
-    with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
+    with (
+        mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError),
+        mock.patch("dsslab.sequences._gray_first_collision", side_effect=AssertionError),
+    ):
         assert _bruteforce_level(4, 1, 7, _NodeBudget(10**6)) is not None
         assert _bruteforce_level(3, 2, 1, _NodeBudget(10**6)) is None
 
