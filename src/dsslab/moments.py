@@ -5,17 +5,22 @@ eps_i in {-1/2, +1/2}, X = sum eps_i a_i. Internally signs are modeled as
 +-1 and every value is halved at the API boundary, which keeps the exact
 distributions integral: coordinate j's signed sums are integers in
 [-S_j, S_j] with S_j = sum_i a_ij, held as sorted int64 value and count
-arrays. Exact moments pair two such distributions, one per half of the
-entries (Horowitz-Sahni), through exact prefix power sums, so the full
-2^n-entry support of a distinct-sum coordinate is never built. The same
-DP over the signs {-1, 0, +1} decides distinct subset sums in sequences.
+arrays. The DP that builds them grows the values unfolded and sorts
+equal ones together only when the support could outgrow its budget or
+its range, and once at the end. Exact moments pair two such
+distributions, one per half of the entries (Horowitz-Sahni), through
+exact prefix power sums, so the full 2^n-entry support of a distinct-sum
+coordinate is never built. The same DP over the signs {-1, 0, +1}
+decides distinct subset sums in sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p) on
 any host. It reads signs straight off the generator's raw bits and sums X
 from per-byte tables of signed sums in a fixed order. While every
 coordinate sum S_j is at most 2^53 that sum is exact; above 2^53 it is a
-fixed-order float sum.
+fixed-order float sum. For p in {1, 2, 3} with sum_j S_j^p at most 2^53,
+|X_j|^p and its sum over j are exact as well, and come from products and
+column adds.
 """
 
 from __future__ import annotations
@@ -122,17 +127,20 @@ def signed_sum_distribution(
     """Exact convolution of the distributions of eps * c, eps uniform over signs.
 
     signs is (-1, 1), the two-point distributions {-c, +c}, or (-1, 0, 1),
-    which also lets each entry sit out. One loop over the coordinates keeps
-    the support as sorted int64 arrays. Step c concatenates values + s * c
-    for s in signs, two or three sorted runs that a stable sort merges in
-    linear time, and np.add.reduceat folds the counts of equal values.
+    which also lets each entry sit out. One loop over the coordinates
+    keeps int64 arrays of values and counts. Step c replaces them by
+    values + s * c for s in signs, side by side and unfolded: equal values
+    are not merged yet. They are folded, one sort and a sum of the counts
+    of each run of equal values (_fold), only when the next step would
+    pass the budget or the pigeonhole bound below, and once at the end.
 
     budget caps the support entries after any one step and is checked
-    before that step merges. The next support has at most
+    after that fold. The next support has at most
     min(2 * len, reach + 1) entries for two signs, which keep every value
     on one parity, and min(3 * len, 2 * reach + 1) for three, reach being
     the running sum of the coordinates; when that bound passes the budget,
-    the exact next size is counted before refusing.
+    the exact next size is counted before refusing. No array holds more
+    than len(signs) * budget entries.
     Inputs the int64 arrays cannot hold are refused up front: a coordinate
     sum of 2^63 or more, or len(signs)^n counts of 2^63 or more. Every
     refusal raises BudgetExceededError.
@@ -149,27 +157,47 @@ def signed_sum_distribution(
         raise BudgetExceededError("int64 signed-sum values", span, _INT64_MAX)
 
     values = np.zeros(1, dtype=np.int64)
-    counts = np.ones(1, dtype=np.int64)
+    counts = None
+    shifts = np.array(signs, dtype=np.int64)
     reach = 0
     for c in coords:
         reach += c
-        runs = [values + s * c for s in signs]
-        needed = min(len(signs) * len(values), reach + 1 if len(signs) == 2 else 2 * reach + 1)
+        limit = reach + 1 if len(signs) == 2 else 2 * reach + 1
+        if len(signs) * len(values) > min(budget, limit):
+            values, counts = _fold(values, counts)
+        runs = np.add.outer(shifts * c, values)
+        needed = min(len(signs) * len(values), limit)
         if needed > budget:
             needed = _union_size(runs)
             if needed > budget:
                 raise BudgetExceededError("signed-sum DP support", needed, budget)
-        merged = np.concatenate(runs)
-        order = np.argsort(merged, kind="stable")
-        merged = merged[order]
-        starts = np.flatnonzero(np.concatenate(([True], merged[1:] != merged[:-1])))
-        values = merged[starts]
-        counts = np.add.reduceat(np.tile(counts, len(signs))[order], starts)
+        values = runs.ravel()
+        if counts is not None:
+            counts = np.tile(counts, len(signs))
+    values, counts = _fold(values, counts)
     return SignedSumDistribution(n=n, values=values, counts=counts, coordinate=coordinate)
 
 
-def _union_size(runs: list[np.ndarray]) -> int:
-    """Distinct entries over sorted runs of distinct values, without merging them.
+def _fold(values: np.ndarray, counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """Sorted distinct values and the summed counts of each.
+
+    counts None stands for all ones: then one plain sort suffices and the
+    counts are the run lengths. Otherwise an unstable argsort orders both
+    arrays, which is safe since np.add.reduceat sums integers in any order.
+    """
+    if counts is None:
+        values = np.sort(values)
+    else:
+        order = np.argsort(values)
+        values, counts = values[order], counts[order]
+    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    if counts is None:
+        return values[starts], np.diff(starts, append=len(values))
+    return values[starts], np.add.reduceat(counts, starts)
+
+
+def _union_size(runs: np.ndarray) -> int:
+    """Distinct entries over the rows of runs, sorted runs of distinct values, unmerged.
 
     Each run counts the entries that no earlier run holds; a searchsorted
     probe tells whether an earlier run holds a value.
@@ -331,14 +359,26 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
     order. While every coordinate sum S_j is at most 2^53, each table row
     and each partial sum is exact, so X is exact: the value any order of
     summation gives. Above 2^53 the fixed order still makes X the same
-    float on every host. Identical inputs thus give bit-identical results
-    on any host, and the number of rows processed at a time changes none
-    of them. Accepts any real p > 0.
+    float on every host.
+
+    Each sample's value is sum_j |X_j|^p. For p in {1, 2, 3} with
+    sum_j S_j^p at most 2^53, every |X_j|^p is a multiple of 2^-p of at
+    most 2^(53-p), and so is every partial sum over j. All are exact, so
+    |X_j|^p comes from repeated multiplication and the sum from adding
+    the columns in order: the same floats as ** p and a row sum, which
+    return an exactly representable result exactly. Otherwise ** p and
+    the row sum compute it. Identical inputs thus give bit-identical
+    results on any host, and the number of rows processed at a time
+    changes none of them. Accepts any finite real p > 0.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
-    if not p > 0:
-        raise ValueError(f"need p > 0, got {p}")
+    if not 0 < p < math.inf:
+        raise ValueError(f"need finite p > 0, got {p}")
+    # The exact regime of the docstring: products and column adds.
+    power = int(p) if p in (1, 2, 3) else 0
+    if power and sum(sum(column) ** power for column in zip(*seq.vectors)) > 1 << 53:
+        power = 0
     bits = np.random.default_rng(seed).bit_generator
     tables = _sign_tables(seq)
     # Sign bits of a block, each row padded with False to whole bytes.
@@ -351,7 +391,17 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
         x = np.zeros((rows, seq.k))
         for b, table in enumerate(tables):
             x += np.take(table, packed[:, b], axis=0)
-        values[done : done + rows] = (np.abs(x) ** p).sum(axis=1)
+        out = values[done : done + rows]
+        if power:
+            np.abs(x, out=x)
+            terms = x
+            for _ in range(power - 1):
+                terms = terms * x
+            out[:] = terms[:, 0]
+            for j in range(1, seq.k):
+                out += terms[:, j]
+        else:
+            out[:] = (np.abs(x) ** p).sum(axis=1)
     mean = float(values.mean())
     if samples == 1:
         stderr = None

@@ -29,7 +29,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import operator
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
@@ -228,9 +227,11 @@ def _zero_sum_signs(seq: VectorSequence) -> int:
     nonzero d_j would have to be a multiple of S_j + 1. Each half of the
     packed vectors gets one three-sign distribution, and a zero total
     pairs v on the left with -v on the right; the right is symmetric, so
-    the count is sum_v c_L(v) c_R(v). It is 1, eps = 0 alone, exactly when
-    the 2^n subset sums are distinct. Each half's support is held to the
-    DP's default budget.
+    the count is sum_v c_L(v) c_R(v). One searchsorted finds the left
+    values the right holds, and an int64 dot product sums their count
+    products: the count is at most 3^n < 2^63, since n <= VERIFY_MAX_N. It
+    is 1, eps = 0 alone, exactly when the 2^n subset sums are distinct.
+    Each half's support is held to the DP's default budget.
     """
     packed = [0] * seq.n
     scale = 1
@@ -243,8 +244,9 @@ def _zero_sum_signs(seq: VectorSequence) -> int:
         signed_sum_distribution(part, signs=(-1, 0, 1))
         for part in (packed[:half], packed[half:])
     )
-    _, i, j = np.intersect1d(left.values, right.values, assume_unique=True, return_indices=True)
-    return sum(map(operator.mul, left.counts[i].tolist(), right.counts[j].tolist()))
+    at = np.minimum(right.values.searchsorted(left.values), len(right.values) - 1)
+    shared = right.values[at] == left.values
+    return int(np.dot(left.counts[shared], right.counts[at[shared]]))
 
 
 def verify_distinct(seq: VectorSequence) -> Collision | None:

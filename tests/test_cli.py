@@ -351,6 +351,16 @@ def test_moments_exact_rejects_fractional_p(good_file):
     assert main(["moments", "--file", good_file, "--p", "2.5"]) == 2
 
 
+@pytest.mark.parametrize("p", ["inf", "1e400", "nan"])
+@pytest.mark.parametrize("extra", [[], ["--samples", "10"]])
+def test_moments_rejects_non_finite_p(good_file, capsys, p, extra):
+    # Both paths refuse with a usage error instead of a traceback or a nan.
+    assert main(["moments", "--file", good_file, "--p", p, *extra]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ")
+
+
 def test_report_exit_codes():
     assert main(["report", "--n", "3", "--k", "1", "--out", "/dev/null"]) == 0
     assert main(["report", "--n", "1", "--k", "1", "--out", "/dev/null"]) == 1

@@ -186,6 +186,43 @@ def test_exact_moment_conway_guy_beyond_full_support():
         assert value > 0
 
 
+@settings(max_examples=200)
+@given(
+    st.sampled_from(((-1, 1), (-1, 0, 1))).flatmap(
+        lambda signs: st.tuples(
+            st.just(signs),
+            _COORD_RANGES.flatmap(
+                lambda hi: st.lists(st.integers(0, hi), max_size=10 if len(signs) == 2 else 7)
+            ),
+            st.integers(1, 64),
+        )
+    )
+)
+def test_distribution_under_budget_matches_prefix_oracle(case):
+    # The DP folds only when a step could pass the budget; either it
+    # returns the whole support, or it refuses at the first prefix whose
+    # support passes the budget, naming that support's exact size.
+    signs, coords, budget = case
+    sizes = [
+        len({sum(e * c for e, c in zip(eps, coords)) for eps in itertools.product(signs, repeat=i)})
+        for i in range(len(coords) + 1)
+    ]
+    assert sizes == sorted(sizes)  # prefix supports never shrink
+    over = [size for size in sizes if size > budget]
+    if over:
+        with pytest.raises(BudgetExceededError) as err:
+            signed_sum_distribution(coords, budget=budget, signs=signs)
+        assert (err.value.needed, err.value.budget) == (over[0], budget)
+    else:
+        sums = Counter(
+            sum(e * c for e, c in zip(eps, coords))
+            for eps in itertools.product(signs, repeat=len(coords))
+        )
+        dist = signed_sum_distribution(coords, budget=budget, signs=signs)
+        assert dist.support == sums
+        assert dist.total() == len(signs) ** len(coords)
+
+
 def test_distribution_of_equal_coordinates_is_binomial():
     # S = 4.2e6 but only 26 support entries: the budget counts entries,
     # not the width of [-S, S].
@@ -360,7 +397,10 @@ def test_mc_estimate_validation():
         mc_estimate(seq, 1, samples=0, seed=1)
     with pytest.raises(ValueError):
         mc_estimate(seq, 0, samples=10, seed=1)
-    # unlike the exact path, any real p > 0 is fair game here
+    for p in (math.inf, float("1e400"), math.nan, -math.inf):
+        with pytest.raises(ValueError):
+            mc_estimate(seq, p, samples=10, seed=1)
+    # unlike the exact path, any finite real p > 0 is fair game here
     mv = mc_estimate(seq, 2.5, samples=16, seed=1)
     assert mv.value >= 0.0
 
@@ -381,18 +421,49 @@ def _mc_inputs(draw, low, high):
     return seq, p, samples, draw(st.integers(0, 2**32))
 
 
+# Four coordinates, each summing to 2^17: sum_j S_j^3 is 2^53 exactly.
+_CUBES_AT_2_53 = ((65536, 16384, 32768, 16384), (32768, 65536, 16384, 16384),
+                  (16384, 32768, 65536, 32768), (16384, 16384, 16384, 65536))
+_SMALL_20 = tuple((i % 7, 3 * i % 11, 5 * i % 13) for i in range(20))
+
+
 @settings(max_examples=120)
-@given(_mc_inputs(0, 2**53 // 20))
+@given(st.one_of(_mc_inputs(0, 2**53 // 20), _mc_inputs(0, 2**10)))
 @example((VectorSequence(3, 1, 4, ((1,), (2,), (4,))), 2, 1, 5))
 @example((VectorSequence(3, 2, 9, ((1, 9), (2, 0), (7, 4))), 1, 4097, 8))
+@example((VectorSequence(3, 2, 9, ((1, 9), (2, 0), (7, 4))), 2, 4097, 8))
+@example((VectorSequence(3, 2, 9, ((1, 9), (2, 0), (7, 4))), 3, 4097, 8))
+@example((VectorSequence(20, 3, 12, _SMALL_20), 3.0, 5000, 9))
+@example((VectorSequence(20, 3, 12, _SMALL_20), 1.0, 5000, 9))
+@example((VectorSequence(4, 4, 65536, _CUBES_AT_2_53), 3, 4097, 10))
+@example((VectorSequence(4, 5, 65536, tuple(v + (i == 0,) for i, v in enumerate(_CUBES_AT_2_53))),
+          3, 4097, 10))
+@example((VectorSequence(2, 2, 2**52, ((2**52, 2**51), (0, 2**51))), 1, 4097, 11))
+@example((VectorSequence(2, 2, 2**52, ((2**52, 2**51), (1, 2**51))), 1, 4097, 11))
 @example((VectorSequence(1, 1, 2**53, ((2**53,),)), 3, 3, 1))
 def test_mc_estimate_equals_matmul_oracle_exactly(inputs):
     # Every coordinate sum is at most 2^53, so both routes sum exactly.
     # The examples pin samples = 1 and odd samples * n, whose last sign
-    # draw leaves half a raw word unused.
+    # draw leaves half a raw word unused, and both sides of the bound
+    # sum_j S_j^p <= 2^53 under which |x|^p comes from products: at p = 3
+    # (sums 2^53 and 2^53 + 1) and p = 1 (the same), next to small
+    # components at p = 1, 2, 3 and the CLI's float 3.0.
     seq, p, samples, seed = inputs
     got = mc_estimate(seq, p, samples, seed)
     assert got == mc_estimate_by_matmul(seq, p, samples, seed)
+
+
+def test_powers_by_products_are_exact_below_2_53():
+    # Every half-integer x = N/2 with N^3 <= 2^53 has x ** p == x * ... * x
+    # for p = 1, 2, 3, as ints and as floats: the products mc_estimate uses
+    # in its exact regime give the floats ** p gives, on this host's libm.
+    top = 208063
+    assert top**3 <= 2**53 < (top + 1) ** 3
+    x = np.arange(top + 1, dtype=np.float64) / 2
+    assert np.array_equal(x * x * x, (np.arange(top + 1, dtype=object) ** 3 / 8).astype(np.float64))
+    for p, product in ((1, x), (2, x * x), (3, x * x * x)):
+        assert np.array_equal(x**p, product), p
+        assert np.array_equal(x ** float(p), product), p
 
 
 @settings(max_examples=60)
