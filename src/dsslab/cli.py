@@ -338,7 +338,7 @@ def _build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--p", type=float, required=True,
                     help="moment order; exact path needs integer 1, 2, or 3")
     sp.add_argument("--samples", type=_positive_int, default=None,
-                    help="sample count; presence selects the Monte Carlo path")
+                    help="sample count, at most 2^27; presence selects the Monte Carlo path")
     sp.add_argument("--seed", type=_seed_u64, default=DEFAULT_SEED,
                     help=f"RNG seed (default {DEFAULT_SEED})")
     sp.add_argument("--budget", type=_positive_int, default=None,

@@ -6,12 +6,15 @@ eps_i in {-1/2, +1/2}, X = sum eps_i a_i. Internally signs are modeled as
 distributions integral: coordinate j's signed sums are integers in
 [-S_j, S_j] with S_j = sum_i a_ij, held as sorted int64 value and count
 arrays. The DP that builds them grows the values unfolded and sorts
-equal ones together only when the support could outgrow its budget or
-its range, and once at the end. Exact moments pair two such
-distributions, one per half of the entries (Horowitz-Sahni), through
-exact prefix power sums, so the full 2^n-entry support of a distinct-sum
-coordinate is never built. The same DP over the signs {-1, 0, +1}
-decides distinct subset sums in sequences.
+equal ones together when the support could outgrow its budget, once at
+the end, and in between only once the unfolded values reach a floor of
+2^16 entries and then could outgrow the support's range or have grown
+8-fold since the last sort. Exact moments pair two such distributions,
+one per half of the entries (Horowitz-Sahni), through exact prefix power
+sums, so the full 2^n-entry support of a distinct-sum coordinate is never
+built; the pairing runs on int64 arrays when 2^n * S_j^p < 2^63 bounds
+every sum it forms, and on Python ints otherwise. The same DP over the
+signs {-1, 0, +1} decides distinct subset sums in sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p) on
@@ -20,7 +23,9 @@ from per-byte tables of signed sums in a fixed order. While every
 coordinate sum S_j is at most 2^53 that sum is exact; above 2^53 it is a
 fixed-order float sum. For p in {1, 2, 3} with sum_j S_j^p at most 2^53,
 |X_j|^p and its sum over j are exact as well, and come from products and
-column adds.
+column adds. The mean and standard error are the ufunc calls of
+np.mean and np.std, made in place on the samples' values; more than
+MC_MAX_SAMPLES samples are refused before anything is allocated.
 """
 
 from __future__ import annotations
@@ -43,6 +48,7 @@ if TYPE_CHECKING:
 
 __all__ = [
     "DEFAULT_TABLE_BUDGET",
+    "MC_MAX_SAMPLES",
     "SignedSumDistribution",
     "signed_sum_distribution",
     "MomentValue",
@@ -58,6 +64,31 @@ __all__ = [
 # Support entries (distinct signed-sum values) a distribution may hold
 # after any one coordinate.
 DEFAULT_TABLE_BUDGET = 1 << 22
+
+# When the DP folds (_fold: one sort of the unfolded values and a pass
+# over their runs). A fold costs ~5 us of numpy calls plus ~6 ns an entry
+# to sort in cache, ~8 ns out of it. While the next unfolded array stays
+# under _FOLD_FLOOR entries (512 KB of int64) nothing is folded early: the
+# one sort at the end then costs at most ~0.4 ms, less than the calls of
+# the folds it replaces, which came about once a step wherever the
+# pigeonhole bound was small. The n = 20 verifier's halves (3^10 = 59,049
+# entries) stay under it and fold once; at n = 22 a half's last step
+# (3^11 = 177,147) crosses it, so the half folds at 3^10 and again at the
+# end, a third more sorting than the final fold alone.
+_FOLD_FLOOR = 1 << 16
+# Above the floor a fold also waits until the next unfolded array would
+# pass the pigeonhole bound or the values have grown _FOLD_GROWTH-fold
+# since the last fold. Where sums repeat, the unfolded values thus stay
+# within 8 (9 for three signs) times the support the last fold left.
+# Where they do not, the folds sort arrays growing 8- or 9-fold, at most
+# 4/7 (two signs) or 3/8 (three) more sorting than the final fold alone,
+# and a fold that merged nothing keeps the next one a sort in place.
+_FOLD_GROWTH = 8
+
+# Monte Carlo samples one call may draw: each sample's value is one
+# float64, so the cap commits at most 1 GiB. More are refused before
+# anything is allocated.
+MC_MAX_SAMPLES = 1 << 27
 
 # Monte Carlo rows processed at a time. No result depends on it: the sign
 # draws form one stream and every sample keeps its own value. It is even,
@@ -131,8 +162,13 @@ def signed_sum_distribution(
     keeps int64 arrays of values and counts. Step c replaces them by
     values + s * c for s in signs, side by side and unfolded: equal values
     are not merged yet. They are folded, one sort and a sum of the counts
-    of each run of equal values (_fold), only when the next step would
-    pass the budget or the pigeonhole bound below, and once at the end.
+    of each run of equal values (_fold), always when the next step would
+    pass the budget, and once at the end. In between, a fold comes only
+    once the next step's unfolded array reaches _FOLD_FLOOR entries, and
+    then when it would pass the pigeonhole bound below or the values have
+    grown _FOLD_GROWTH-fold since the last fold. No output depends on
+    when the folds come: equal values merge and their counts add exactly
+    in any order.
 
     budget caps the support entries after any one step and is checked
     after that fold. The next support has at most
@@ -150,49 +186,62 @@ def signed_sum_distribution(
     coords = [int(c) for c in coords]
     if any(c < 0 for c in coords):
         raise ValueError(f"coordinates must be nonnegative, got {coords}")
-    n, span = len(coords), sum(coords)
-    if len(signs) ** n > _INT64_MAX:
-        raise BudgetExceededError("int64 signed-sum counts", len(signs) ** n, _INT64_MAX)
+    n, span, width = len(coords), sum(coords), len(signs)
+    if width**n > _INT64_MAX:
+        raise BudgetExceededError("int64 signed-sum counts", width**n, _INT64_MAX)
     if span > _INT64_MAX:
         raise BudgetExceededError("int64 signed-sum values", span, _INT64_MAX)
 
     values = np.zeros(1, dtype=np.int64)
     counts = None
-    shifts = np.array(signs, dtype=np.int64)
     reach = 0
-    for c in coords:
+    folded = 1  # the support the last fold left; the start counts as one
+    for c, shifts in zip(coords, np.multiply.outer(np.array(coords, dtype=np.int64), signs)):
         reach += c
-        limit = reach + 1 if len(signs) == 2 else 2 * reach + 1
-        if len(signs) * len(values) > min(budget, limit):
+        limit = reach + 1 if width == 2 else 2 * reach + 1
+        grown = width * len(values)
+        if grown > budget or grown >= _FOLD_FLOOR and (
+            grown > limit or len(values) >= _FOLD_GROWTH * folded
+        ):
             values, counts = _fold(values, counts)
-        runs = np.add.outer(shifts * c, values)
-        needed = min(len(signs) * len(values), limit)
-        if needed > budget:
+            folded = len(values)
+            grown = width * folded
+        runs = np.add.outer(shifts, values)
+        if min(grown, limit) > budget:
             needed = _union_size(runs)
             if needed > budget:
                 raise BudgetExceededError("signed-sum DP support", needed, budget)
         values = runs.ravel()
         if counts is not None:
-            counts = np.tile(counts, len(signs))
+            counts = np.tile(counts, width)
     values, counts = _fold(values, counts)
+    if counts is None:
+        counts = np.ones(len(values), dtype=np.int64)
     return SignedSumDistribution(n=n, values=values, counts=counts, coordinate=coordinate)
 
 
-def _fold(values: np.ndarray, counts: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+def _fold(
+    values: np.ndarray, counts: np.ndarray | None
+) -> tuple[np.ndarray, np.ndarray | None]:
     """Sorted distinct values and the summed counts of each.
 
-    counts None stands for all ones: then one plain sort suffices and the
-    counts are the run lengths. Otherwise an unstable argsort orders both
-    arrays, which is safe since np.add.reduceat sums integers in any order.
+    counts None stands for all ones: then one sort in place suffices and
+    the counts are the run lengths, or still None when every run has
+    length one. Otherwise an unstable argsort orders both arrays, which
+    is safe since np.add.reduceat sums integers in any order.
     """
     if counts is None:
-        values = np.sort(values)
+        values.sort()
     else:
         order = np.argsort(values)
         values, counts = values[order], counts[order]
-    starts = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1])))
+    # The first index of each run, and len(values) after the last.
+    edges = np.flatnonzero(np.concatenate(([True], values[1:] != values[:-1], [True])))
+    starts = edges[:-1]
     if counts is None:
-        return values[starts], np.diff(starts, append=len(values))
+        if len(starts) == len(values):
+            return values, None  # nothing merged: the counts are still all ones
+        return values[starts], edges[1:] - starts
     return values[starts], np.add.reduceat(counts, starts)
 
 
@@ -212,32 +261,74 @@ def _union_size(runs: np.ndarray) -> int:
     return size
 
 
-def _prefix_power_sums(dist: SignedSumDistribution, p: int) -> Iterator[list[int]]:
+def _pairs_fit_int64(n: int, reach: int, p: int) -> bool:
+    """Whether 2^n * reach^p < 2^63, the bound of _paired_power_sum's int64 path.
+
+    n counts the entries of both sides of a pairing together and reach
+    bounds |y| + |z| over every pair of their signed sums.
+    """
+    return (1 << n) * reach**p <= _INT64_MAX
+
+
+def _prefix_power_sums(
+    dist: SignedSumDistribution, p: int, fits: bool
+) -> np.ndarray | Iterator[list[int]]:
     """Exact prefix sums of count * value^m over dist's sorted support, m = 0..p.
 
-    Yields one row per m, so a single pass holds one row at a time. Row m
-    starts at 0 and has len(dist.values) + 1 entries: row[i] sums the first
-    i support entries and row[-1] is the whole power sum T_m.
+    Row m starts at 0 and has len(dist.values) + 1 entries: row[i] sums
+    the first i support entries and row[-1] is the whole power sum T_m.
+    When fits (_pairs_fit_int64 holds for the pairing), the rows are one
+    int64 array of shape (p + 1, len + 1), from np.cumsum. Otherwise they
+    are lists of Python ints, yielded one at a time so that a single pass
+    holds one row.
     """
+    if fits:
+        rows = np.zeros((p + 1, len(dist.values) + 1), dtype=np.int64)
+        powers = dist.values ** np.arange(p + 1)[:, None]
+        np.cumsum(dist.counts * powers, axis=1, out=rows[:, 1:])
+        return rows
     values, counts = dist.values.tolist(), dist.counts.tolist()
-    for m in range(p + 1):
-        terms = map(operator.mul, counts, map(pow, values, itertools.repeat(m)))
-        yield list(itertools.accumulate(terms, initial=0))
+    return (
+        list(itertools.accumulate(
+            map(operator.mul, counts, map(pow, values, itertools.repeat(m))), initial=0
+        ))
+        for m in range(p + 1)
+    )
 
 
-def _paired_power_sum(ys: np.ndarray, weights, inner: SignedSumDistribution, prefix, p: int) -> int:
+def _paired_power_sum(
+    ys: np.ndarray, weights: np.ndarray, inner: SignedSumDistribution, prefix, p: int
+) -> int:
     """sum over y in ys and z in inner's support of w_y * c_z * |y + z|^p, exact.
 
-    ys are int64 values >= 0 with Python-int weights w_y; c_z are inner's
-    counts and prefix holds the rows of _prefix_power_sums(inner, p), in
-    order, as a list or the generator itself. Expanding (y + z)^p
-    binomially turns the sum over z into inner's power sums T_m. For odd p
-    the terms with z < -y change sign; one searchsorted at -y finds their
-    prefix P_m, so y contributes sum_m C(p, m) y^(p-m) (T_m - 2 P_m[cut]).
-    Even p has no sign to split, and every y sees the whole T_m.
+    ys are int64 values >= 0 with int64 weights w_y; c_z are inner's
+    counts and prefix holds the rows of _prefix_power_sums(inner, p, fits).
+    Expanding (y + z)^p binomially turns the sum over z into inner's power
+    sums T_m. For odd p the terms with z < -y change sign; one searchsorted
+    at -y finds their prefix P_m, so y contributes
+    sum_m C(p, m) y^(p-m) (T_m - 2 P_m[cut]). Even p has no sign to split,
+    and every y sees the whole T_m.
+
+    Two paths compute this, chosen by the rows' form. With int64 rows,
+    taken when 2^n * S^p < 2^63 (n entries on both sides together, and
+    |y| + |z| <= S), the sums over y are int64 array reductions: every
+    w_y y^(p-m), every prefix entry and every sum of them is at most
+    sum_y w_y |y|^(p-m) * sum_z c_z |z|^m <= 2^n * S^p, within int64, and
+    the terms of a dot product share one sign, so no partial sum exceeds
+    the whole. Only the products of two sums, T_m times sum_y w_y y^(p-m),
+    are taken in Python ints. Otherwise every term is a Python int, the
+    path for wide inputs and the oracle for the int64 one.
     """
+    if isinstance(prefix, np.ndarray):
+        scaled = weights * ys ** np.arange(p, -1, -1)[:, None]  # row m: w_y y^(p-m)
+        terms = [t * s for t, s in zip(prefix[:, -1].tolist(), scaled.sum(axis=1).tolist())]
+        if p % 2:
+            cuts = np.searchsorted(inner.values, -ys)
+            dots = (scaled * prefix[:, cuts]).sum(axis=1).tolist()
+            terms = [t - 2 * d for t, d in zip(terms, dots)]
+        return sum(math.comb(p, m) * t for m, t in enumerate(terms))
     cuts = np.searchsorted(inner.values, -ys).tolist() if p % 2 else None
-    ys = ys.tolist()
+    ys, weights = ys.tolist(), weights.tolist()
     total = 0
     for m, row in enumerate(prefix):
         scaled = [w * y ** (p - m) for w, y in zip(weights, ys)]
@@ -287,11 +378,14 @@ def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET
             key=lambda dist: len(dist.values),
         )
         # Both halves are symmetric, so y and -y pair alike: visit y >= 0,
-        # a positive y standing for its negation as well.
+        # a positive y standing for its negation as well. Its count is at
+        # most half of outer's 2^n patterns (flip an entry that moves it),
+        # so the doubled weight fits in int64.
         nonneg = outer.values >= 0
         ys = outer.values[nonneg]
-        weights = [c << (y > 0) for y, c in zip(ys.tolist(), outer.counts[nonneg].tolist())]
-        power_sum += _paired_power_sum(ys, weights, inner, _prefix_power_sums(inner, p), p)
+        weights = outer.counts[nonneg] << (ys > 0)
+        fits = _pairs_fit_int64(seq.n, sum(coords), p)
+        power_sum += _paired_power_sum(ys, weights, inner, _prefix_power_sums(inner, p, fits), p)
     value = Fraction(power_sum, (1 << seq.n) * 2**p)
     return MomentValue(p=p, value=value, provenance="exact_dp", stderr=None, samples=None)
 
@@ -320,17 +414,18 @@ def _sign_tables(seq: VectorSequence) -> list[np.ndarray]:
 
     Row v of a run's table is 0.5 * sum_i (+-a_i), entry i of the run
     taking the plus sign when bit i of v is set. Each row is summed
-    exactly in Python ints and rounded to float once.
+    exactly, by a product with the +-1 sign matrix, and rounded to float
+    once, by the halving: in int64 while the run's coordinate sums fit,
+    where a partial sum is at most the whole, and in Python ints (dtype
+    object) otherwise.
     """
     tables = []
     for start in range(0, seq.n, 8):
-        columns = []
-        for column in zip(*seq.vectors[start : start + 8]):
-            sums = [0]
-            for c in column:
-                sums = [s - c for s in sums] + [s + c for s in sums]
-            columns.append([s / 2 for s in sums])
-        tables.append(np.array(columns, dtype=np.float64).T.copy())
+        run = seq.vectors[start : start + 8]
+        bits = np.arange(1 << len(run))[:, None] >> np.arange(len(run)) & 1
+        wide = max(map(sum, zip(*run)), default=0) > _INT64_MAX
+        entries = np.array(run, dtype=object if wide else np.int64)
+        tables.append(((2 * bits - 1) @ entries / 2).astype(np.float64))
     return tables
 
 
@@ -370,11 +465,20 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
     the row sum compute it. Identical inputs thus give bit-identical
     results on any host, and the number of rows processed at a time
     changes none of them. Accepts any finite real p > 0.
+
+    The mean and the standard error come from the ufunc calls that
+    values.mean() and values.std(ddof=1) make (a sum kept as an array,
+    the deviations subtracted and squared, a second sum), made in place
+    on values, so they are the same floats and no second array of
+    samples is allocated. samples above MC_MAX_SAMPLES raise
+    BudgetExceededError before anything is allocated.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
     if not 0 < p < math.inf:
         raise ValueError(f"need finite p > 0, got {p}")
+    if samples > MC_MAX_SAMPLES:
+        raise BudgetExceededError("Monte Carlo samples", samples, MC_MAX_SAMPLES)
     # The exact regime of the docstring: products and column adds.
     power = int(p) if p in (1, 2, 3) else 0
     if power and sum(sum(column) ** power for column in zip(*seq.vectors)) > 1 << 53:
@@ -402,12 +506,16 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
                 out += terms[:, j]
         else:
             out[:] = (np.abs(x) ** p).sum(axis=1)
-    mean = float(values.mean())
-    if samples == 1:
-        stderr = None
-    else:
-        stderr = float(values.std(ddof=1) / np.sqrt(samples))
-    return MomentValue(p=p, value=mean, provenance="monte_carlo", stderr=stderr, samples=samples)
+    # The ufunc calls of values.mean() and values.std(ddof=1), into values.
+    mean = values.sum(keepdims=True) / samples
+    stderr = None
+    if samples > 1:
+        np.subtract(values, mean, out=values)
+        np.square(values, out=values)
+        stderr = float(np.sqrt(values.sum() / (samples - 1)) / np.sqrt(samples))
+    return MomentValue(
+        p=p, value=float(mean[0]), provenance="monte_carlo", stderr=stderr, samples=samples
+    )
 
 
 @dataclass(frozen=True)
@@ -456,10 +564,13 @@ def convexity_probe(
                 break
         mid = (lo + hi) // 2
         rest = signed_sum_distribution(x[:i] + x[i + 1 :])
-        prefix = list(_prefix_power_sums(rest, 1))
+        fits = _pairs_fit_int64(n, sum(x) - x[i] + bound, 1)
+        prefix = _prefix_power_sums(rest, 1, fits)
+        if not fits:
+            prefix = list(prefix)  # every f(t) below reads it
         # Coordinate i is the two-point side {-t, +t}: t >= 0 with weight 2.
         at = lambda t: Fraction(
-            _paired_power_sum(np.array([t]), [2], rest, prefix, 1), (1 << n) * 2
+            _paired_power_sum(np.array([t]), np.array([2]), rest, prefix, 1), (1 << n) * 2
         )
         f_lo, f_mid, f_hi = at(lo), at(mid), at(hi)
         if f_lo + f_hi < 2 * f_mid:

@@ -327,6 +327,18 @@ def test_moments_int64_guard_exit(tmp_path, capsys):
             assert "int64" in captured.err
 
 
+def test_moments_samples_cap_exit(good_file, capsys):
+    # --samples past the 2^27 cap (1 GiB of values) is refused before any
+    # sample is drawn: exit 3, nothing on stdout.
+    for samples in (str((1 << 27) + 1), "10000000000"):
+        for fmt in ("text", "json"):
+            argv = ["moments", "--file", good_file, "--p", "3", "--samples", samples]
+            assert main([*argv, "--format", fmt]) == 3
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            assert f"Monte Carlo samples: needs {samples}, budget is {1 << 27}" in captured.err
+
+
 def test_moments_budget_counts_one_half(tmp_path, capsys):
     # The 2^16 signed sums of a distinct-sum set at n = 16 need a full
     # support of 2^16 entries, but each half holds 2^8, which a budget of

@@ -5,6 +5,7 @@ from __future__ import annotations
 import itertools
 import math
 import time
+import tracemalloc
 from collections import Counter
 from fractions import Fraction
 
@@ -13,7 +14,13 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from conftest import conway_guy, full_support_power_sum, mc_estimate_by_matmul, random_sequence
+from conftest import (
+    conway_guy,
+    full_support_power_sum,
+    gray_first_collision_by_dict,
+    mc_estimate_by_matmul,
+    random_sequence,
+)
 from dsslab import (
     BudgetExceededError,
     VectorSequence,
@@ -24,6 +31,7 @@ from dsslab import (
     moments,
     signed_sum_distribution,
     variance_identity_check,
+    verify_distinct,
 )
 
 
@@ -291,6 +299,120 @@ def test_distribution_int64_guards():
     assert (err.value.needed, err.value.budget) == (1 << 63, (1 << 63) - 1)
 
 
+def _traced_peak(call):
+    """call()'s result and the peak of memory traced while it ran."""
+    tracemalloc.start()
+    try:
+        return call(), tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_repeating_wide_support_folds_at_the_floor():
+    # 13 entries of 10^7 have 27 distinct three-sign sums among 3^13 = 1.6 M
+    # patterns, spread over a range far wider than the patterns, so the
+    # pigeonhole bound never forces a fold: the one at the floor keeps the
+    # values from growing unfolded to 3^13 (27 MB of traced memory).
+    coords = (10**7,) * 13
+    halves = [Counter(map(sum, itertools.product((-1, 0, 1), repeat=r))) for r in (7, 6)]
+    expect = Counter()
+    for (u, cu), (v, cv) in itertools.product(halves[0].items(), halves[1].items()):
+        expect[10**7 * (u + v)] += cu * cv
+    dist, peak = _traced_peak(lambda: signed_sum_distribution(coords, signs=(-1, 0, 1)))
+    assert dist.support == expect
+    assert peak < 2 << 20, peak
+    # 26 such entries pass the pigeonhole limit, so the pair count of two
+    # such halves runs before the walk names the first collision.
+    seq = VectorSequence(26, 1, 10**7, ((10**7,),) * 26)
+    assert verify_distinct(seq) == gray_first_collision_by_dict(seq, moments.DEFAULT_TABLE_BUDGET)
+
+
+def test_fold_schedule_around_the_floor(monkeypatch):
+    # Powers of 3 give 3^n distinct three-sign sums, all of [-S, S], so only
+    # the floor and the final fold apply: 10 entries (the n = 20 verifier's
+    # halves) fold once, 11 fold at 3^10 and again at the end.
+    real, folds = moments._fold, []
+    monkeypatch.setattr(moments, "_fold", lambda v, c: folds.append(len(v)) or real(v, c))
+    for n, want in ((10, [3**10]), (11, [3**10, 3**11])):
+        folds.clear()
+        dist = signed_sum_distribution([3**i for i in range(n)], signs=(-1, 0, 1))
+        assert len(dist.values) == 3**n
+        assert folds == want, n
+
+
+def test_zero_entries_fold_fast():
+    # Every sum is 0: the values grow unfolded to the floor, where each fold
+    # leaves one entry.
+    for coords, signs in (((0,) * 39, (-1, 0, 1)), ((0,) * 62, (-1, 1))):
+        start = time.perf_counter()
+        dist = signed_sum_distribution(coords, signs=signs)
+        assert time.perf_counter() - start < 0.05, len(coords)
+        assert dist.support == {0: len(signs) ** len(coords)}
+
+
+@st.composite
+def _pairing_cases(draw):
+    # Column sums land from 1/8 to 4 times the S at which 2^n * S^p
+    # reaches 2^63, so both pairing paths are drawn.
+    n = draw(st.integers(1, 12))
+    k = draw(st.integers(1, 2))
+    p = draw(st.sampled_from((1, 2, 3)))
+    edge = int(2 ** ((63 - n) / p))
+    hi = min(edge * draw(st.sampled_from((2, 4, 8, 16, 32))) // (8 * n), ((1 << 63) - 1) // n)
+    component = st.integers(hi // 2, hi)
+    vectors = tuple(draw(st.lists(st.tuples(*[component] * k), min_size=n, max_size=n)))
+    bound = max(c for vec in vectors for c in vec)
+    return VectorSequence(n, k, bound, vectors), p
+
+
+def _column_sequence(coords):
+    return VectorSequence(len(coords), 1, max(coords), tuple((c,) for c in coords))
+
+
+# 2^n * S^p at 2^63 - 2 (int64 path) and 2^63 (Python ints) with n = 1,
+# p = 1, and at 2^63 - 3 * 2^43 + 3 * 2^23 - 8 and 2^63 with n = 3, p = 3.
+_PAIRING_EDGES = (
+    (_column_sequence((2**62 - 1,)), 1),
+    (_column_sequence((2**62,)), 1),
+    (_column_sequence((2**19 - 1, 2**18, 2**18)), 3),
+    (_column_sequence((2**19, 2**18, 2**18)), 3),
+)
+
+
+@settings(max_examples=200)
+@given(_pairing_cases())
+@example(_PAIRING_EDGES[0])
+@example(_PAIRING_EDGES[1])
+@example(_PAIRING_EDGES[2])
+@example(_PAIRING_EDGES[3])
+def test_int64_pairing_matches_python_ints(case):
+    seq, p = case
+    got = exact_moment(seq, p)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(moments, "_pairs_fit_int64", lambda n, reach, p: False)
+        assert exact_moment(seq, p) == got
+
+
+def test_int64_pairing_bound_edges():
+    fits = moments._pairs_fit_int64
+    assert fits(0, 2**63 - 1, 1) and not fits(0, 2**63, 1)
+    assert fits(1, 2**62 - 1, 1) and not fits(1, 2**62, 1)
+    assert fits(3, 2**20 - 1, 3) and not fits(3, 2**20, 3)
+    # At 2^63 - 1 itself the int64 path is exact: one y = 2^63 - 1 against
+    # the distribution of no entries.
+    empty = signed_sum_distribution(())
+    ys, weights = np.array([2**63 - 1]), np.array([1])
+    for path in (True, False):
+        prefix = moments._prefix_power_sums(empty, 1, path)
+        assert moments._paired_power_sum(ys, weights, empty, prefix, 1) == 2**63 - 1
+    for seq, p in _PAIRING_EDGES:
+        total = sum(
+            abs(sum(e * vec[0] for e, vec in zip(signs, seq.vectors))) ** p
+            for signs in itertools.product((-1, 1), repeat=seq.n)
+        )
+        assert exact_moment(seq, p).value == Fraction(total, 2**seq.n * 2**p)
+
+
 def test_exact_moment_examples():
     seq = VectorSequence(3, 1, 4, ((1,), (2,), (4,)))
     assert exact_moment(seq, 1).value == 2
@@ -403,6 +525,22 @@ def test_mc_estimate_validation():
     # unlike the exact path, any finite real p > 0 is fair game here
     mv = mc_estimate(seq, 2.5, samples=16, seed=1)
     assert mv.value >= 0.0
+
+
+def test_mc_estimate_refuses_samples_past_cap():
+    # One float64 per sample: the cap is 1 GiB, and a call past it is refused
+    # before anything is allocated.
+    assert moments.MC_MAX_SAMPLES == 1 << 27
+    seq = VectorSequence(3, 1, 4, ((1,), (2,), (4,)))
+    for samples in (moments.MC_MAX_SAMPLES + 1, 10**10):
+        def call():
+            with pytest.raises(BudgetExceededError) as err:
+                mc_estimate(seq, 2, samples=samples, seed=1)
+            return err.value
+
+        err, peak = _traced_peak(call)
+        assert (err.needed, err.budget) == (samples, moments.MC_MAX_SAMPLES)
+        assert peak < 1 << 16, peak
 
 
 @st.composite
