@@ -12,9 +12,10 @@ the end, and in between only once the unfolded values reach a floor of
 8-fold since the last sort. Exact moments pair two such distributions,
 one per half of the entries (Horowitz-Sahni), through exact prefix power
 sums, so the full 2^n-entry support of a distinct-sum coordinate is never
-built; the pairing runs on int64 arrays when 2^n * S_j^p < 2^63 bounds
-every sum it forms, and on Python ints otherwise. The same DP over the
-signs {-1, 0, +1} decides distinct subset sums in sequences.
+built; the pairing runs in uint64 arrays modulo 2^64 and as many primes
+below 2^32 as 2^n * S_j^p needs, and the Chinese remainder theorem
+recovers its exact sum. The same DP over the signs {-1, 0, +1} decides
+distinct subset sums in sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p) on
@@ -30,9 +31,7 @@ MC_MAX_SAMPLES samples are refused before anything is allocated.
 
 from __future__ import annotations
 
-import itertools
 import math
-import operator
 from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
@@ -97,6 +96,15 @@ _MC_BLOCK = 1 << 12
 
 # Largest signed sum, and largest count, the int64 arrays can hold.
 _INT64_MAX = np.iinfo(np.int64).max
+
+# Moduli of the exact pairing, taken in this order: 2^64, which uint64
+# arithmetic reduces by itself, then the eight largest primes below 2^32.
+# Their product passes 2^316, the largest 2^n * S^p the DP's guards admit
+# for p <= 3: two halves of at most 62 entries, each summing below 2^63.
+_MODULI = (
+    1 << 64, 4294967291, 4294967279, 4294967231, 4294967197,
+    4294967189, 4294967161, 4294967143, 4294967111,
+)
 
 
 class _Support(Mapping):
@@ -261,81 +269,73 @@ def _union_size(runs: np.ndarray) -> int:
     return size
 
 
-def _pairs_fit_int64(n: int, reach: int, p: int) -> bool:
-    """Whether 2^n * reach^p < 2^63, the bound of _paired_power_sum's int64 path.
+def _residues(a: np.ndarray, q: int) -> np.ndarray:
+    """The int64 array a modulo q, as uint64 (a view for q = 2^64)."""
+    return a.view(np.uint64) if q >> 64 else (a % q).view(np.uint64)
 
-    n counts the entries of both sides of a pairing together and reach
-    bounds |y| + |z| over every pair of their signed sums.
+
+def _reduce(a: np.ndarray, q: int) -> np.ndarray:
+    """The uint64 array a, reduced modulo q in place; uint64 wraps modulo 2^64 by itself."""
+    return a if q >> 64 else np.remainder(a, q, out=a)
+
+
+def _paired_residue(ys, weights, cuts, inner: SignedSumDistribution, p: int, q: int) -> int:
+    """_paired_power_sum's total modulo q, one of _MODULI, from uint64 arrays.
+
+    Row m of rows is c_z z^m over inner's support, then its prefix sums
+    P_m from 0; row m of scaled is w_y y^(p-m). Every step is a ring
+    operation, so modulo 2^64 uint64 arithmetic needs no reduction step.
+    Modulo a prime q < 2^32 a product of two residues stays below 2^64 and
+    is reduced at once, and a sum of fewer than 2^32 residues stays below
+    2^64 and is reduced after.
     """
-    return (1 << n) * reach**p <= _INT64_MAX
+    values, ys = _residues(inner.values, q), _residues(ys, q)
+    rows = np.zeros((p + 1, len(values) + 1), dtype=np.uint64)
+    rows[0, 1:] = _residues(inner.counts, q)
+    scaled = np.empty((p + 1, len(ys)), dtype=np.uint64)
+    scaled[p] = _residues(weights, q)
+    for m in range(1, p + 1):
+        _reduce(np.multiply(rows[m - 1, 1:], values, out=rows[m, 1:]), q)
+        _reduce(np.multiply(scaled[p - m + 1], ys, out=scaled[p - m]), q)
+    _reduce(np.cumsum(rows, axis=1, out=rows), q)
+    terms = [t * s for t, s in zip(rows[:, -1].tolist(), scaled.sum(axis=1).tolist())]
+    if cuts is not None:
+        for m, row in enumerate(rows):
+            terms[m] -= 2 * int(_reduce(row[cuts] * scaled[m], q).sum())
+    return sum(math.comb(p, m) * t for m, t in enumerate(terms)) % q
 
 
-def _prefix_power_sums(
-    dist: SignedSumDistribution, p: int, fits: bool
-) -> np.ndarray | Iterator[list[int]]:
-    """Exact prefix sums of count * value^m over dist's sorted support, m = 0..p.
-
-    Row m starts at 0 and has len(dist.values) + 1 entries: row[i] sums
-    the first i support entries and row[-1] is the whole power sum T_m.
-    When fits (_pairs_fit_int64 holds for the pairing), the rows are one
-    int64 array of shape (p + 1, len + 1), from np.cumsum. Otherwise they
-    are lists of Python ints, yielded one at a time so that a single pass
-    holds one row.
-    """
-    if fits:
-        rows = np.zeros((p + 1, len(dist.values) + 1), dtype=np.int64)
-        powers = dist.values ** np.arange(p + 1)[:, None]
-        np.cumsum(dist.counts * powers, axis=1, out=rows[:, 1:])
-        return rows
-    values, counts = dist.values.tolist(), dist.counts.tolist()
-    return (
-        list(itertools.accumulate(
-            map(operator.mul, counts, map(pow, values, itertools.repeat(m))), initial=0
-        ))
-        for m in range(p + 1)
-    )
-
-
-def _paired_power_sum(
-    ys: np.ndarray, weights: np.ndarray, inner: SignedSumDistribution, prefix, p: int
-) -> int:
+def _paired_power_sum(ys, weights, inner: SignedSumDistribution, p: int) -> int:
     """sum over y in ys and z in inner's support of w_y * c_z * |y + z|^p, exact.
 
-    ys are int64 values >= 0 with int64 weights w_y; c_z are inner's
-    counts and prefix holds the rows of _prefix_power_sums(inner, p, fits).
-    Expanding (y + z)^p binomially turns the sum over z into inner's power
-    sums T_m. For odd p the terms with z < -y change sign; one searchsorted
-    at -y finds their prefix P_m, so y contributes
+    ys are sorted int64 values >= 0 with int64 weights w_y; c_z are
+    inner's counts. Expanding (y + z)^p binomially turns the sum over z
+    into inner's power sums T_m. For odd p the terms with z < -y change
+    sign; one searchsorted at -y finds their prefix P_m, so y contributes
     sum_m C(p, m) y^(p-m) (T_m - 2 P_m[cut]). Even p has no sign to split,
     and every y sees the whole T_m.
 
-    Two paths compute this, chosen by the rows' form. With int64 rows,
-    taken when 2^n * S^p < 2^63 (n entries on both sides together, and
-    |y| + |z| <= S), the sums over y are int64 array reductions: every
-    w_y y^(p-m), every prefix entry and every sum of them is at most
-    sum_y w_y |y|^(p-m) * sum_z c_z |z|^m <= 2^n * S^p, within int64, and
-    the terms of a dot product share one sign, so no partial sum exceeds
-    the whole. Only the products of two sums, T_m times sum_y w_y y^(p-m),
-    are taken in Python ints. Otherwise every term is a Python int, the
-    path for wide inputs and the oracle for the int64 one.
+    The total lies in [0, B], B = sum w_y * sum c_z * (max y + max z)^p,
+    at most 2^n * S^p for n entries on both sides and S their coordinate
+    sum. _paired_residue takes it modulo 2^64, then modulo as many primes
+    of _MODULI as B needs, and the Chinese remainder theorem recombines
+    the residues in Python ints: the one below the moduli's product,
+    which passes B, is the total. A side of 2^32 entries or more would
+    overflow a prime residue's unreduced sums; it raises
+    BudgetExceededError before anything is allocated.
     """
-    if isinstance(prefix, np.ndarray):
-        scaled = weights * ys ** np.arange(p, -1, -1)[:, None]  # row m: w_y y^(p-m)
-        terms = [t * s for t, s in zip(prefix[:, -1].tolist(), scaled.sum(axis=1).tolist())]
-        if p % 2:
-            cuts = np.searchsorted(inner.values, -ys)
-            dots = (scaled * prefix[:, cuts]).sum(axis=1).tolist()
-            terms = [t - 2 * d for t, d in zip(terms, dots)]
-        return sum(math.comb(p, m) * t for m, t in enumerate(terms))
-    cuts = np.searchsorted(inner.values, -ys).tolist() if p % 2 else None
-    ys, weights = ys.tolist(), weights.tolist()
-    total = 0
-    for m, row in enumerate(prefix):
-        scaled = [w * y ** (p - m) for w, y in zip(weights, ys)]
-        term = row[-1] * sum(scaled)
-        if cuts is not None:
-            term -= 2 * sum(map(operator.mul, scaled, map(row.__getitem__, cuts)))
-        total += math.comb(p, m) * term
+    entries = max(len(ys), len(inner.values))
+    if entries >= 1 << 32:
+        raise BudgetExceededError("paired support entries", entries, (1 << 32) - 1)
+    bound = int(weights.sum()) * inner.total() * (int(ys[-1]) + int(inner.values[-1])) ** p
+    cuts = np.searchsorted(inner.values, -ys) if p % 2 else None
+    total, product = 0, 1
+    for q in _MODULI:
+        if product > bound:
+            break
+        residue = _paired_residue(ys, weights, cuts, inner, p, q)
+        total += product * ((residue - total) * pow(product, -1, q) % q)
+        product *= q
     return total
 
 
@@ -362,7 +362,9 @@ def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET
     into its first n // 2 entries and the rest, one exact DP per half, and
     the two halves are paired by _paired_power_sum, so no support larger
     than one half's is built and budget and the int64 guards apply to each
-    half. The halving of values enters as the factor 2^p.
+    half. Its residues, modulo 2^64 and primes below 2^32, make the sum
+    exact for every half the guards admit. The halving of values enters
+    as the factor 2^p.
     """
     if p not in (1, 2, 3):
         raise ValueError(f"exact path supports p in {{1, 2, 3}}, got {p}")
@@ -384,8 +386,7 @@ def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET
         nonneg = outer.values >= 0
         ys = outer.values[nonneg]
         weights = outer.counts[nonneg] << (ys > 0)
-        fits = _pairs_fit_int64(seq.n, sum(coords), p)
-        power_sum += _paired_power_sum(ys, weights, inner, _prefix_power_sums(inner, p, fits), p)
+        power_sum += _paired_power_sum(ys, weights, inner, p)
     value = Fraction(power_sum, (1 << seq.n) * 2**p)
     return MomentValue(p=p, value=value, provenance="exact_dp", stderr=None, samples=None)
 
@@ -564,14 +565,8 @@ def convexity_probe(
                 break
         mid = (lo + hi) // 2
         rest = signed_sum_distribution(x[:i] + x[i + 1 :])
-        fits = _pairs_fit_int64(n, sum(x) - x[i] + bound, 1)
-        prefix = _prefix_power_sums(rest, 1, fits)
-        if not fits:
-            prefix = list(prefix)  # every f(t) below reads it
         # Coordinate i is the two-point side {-t, +t}: t >= 0 with weight 2.
-        at = lambda t: Fraction(
-            _paired_power_sum(np.array([t]), np.array([2]), rest, prefix, 1), (1 << n) * 2
-        )
+        at = lambda t: Fraction(_paired_power_sum(np.array([t]), np.array([2]), rest, 1), 2 << n)
         f_lo, f_mid, f_hi = at(lo), at(mid), at(hi)
         if f_lo + f_hi < 2 * f_mid:
             return ConvexityCounterexample(

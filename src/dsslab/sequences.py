@@ -110,7 +110,7 @@ class VectorSequence:
         if not rows or len(rows[0]) != 3:
             raise ValueError("first line must be `n k M`")
         n, k, bound = (int(x) for x in rows[0])
-        vectors = tuple(tuple(int(x) for x in row) for row in rows[1 : n + 1])
+        vectors = tuple(tuple(int(x) for x in row) for row in rows[1:])
         if len(vectors) != n:
             raise ValueError(f"expected {n} vector lines, found {len(vectors)}")
         return cls(n=n, k=k, bound=bound, vectors=vectors)

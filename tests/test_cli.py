@@ -189,6 +189,17 @@ def test_verify_exit_codes(good_file, bad_file):
     }
 
 
+def test_verify_rejects_extra_vector_lines(tmp_path, capsys):
+    # A third vector line in a file declaring n = 2 is a usage error, not
+    # silently dropped: dropped, it hides the collision of 1 with the first.
+    path = tmp_path / "extra.seq"
+    path.write_text("2 1 4\n1\n2\n1\n")
+    assert main(["verify", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "expected 2 vector lines, found 3" in captured.err
+
+
 def test_verify_text_verdict(good_file):
     res = run(build_config(["verify", "--file", good_file]))
     assert "pass" in res.stdout

@@ -350,14 +350,30 @@ def test_zero_entries_fold_fast():
         assert dist.support == {0: len(signs) ** len(coords)}
 
 
+# The pairing takes residues modulo 2^64 and then modulo the primes of
+# moments._MODULI until their product passes 2^n * S^p. Its first two
+# walls are where 2^n * S^p reaches 2^64 and 2^64 * q_1.
+_WALLS = (1 << 64, (1 << 64) * moments._MODULI[1])
+
+
+def _full_support_moment(seq, p):
+    """E||X||_p^p from every coordinate's full 2^n-entry support."""
+    total = sum(
+        full_support_power_sum(signed_sum_distribution([vec[j] for vec in seq.vectors]), p)
+        for j in range(seq.k)
+    )
+    return Fraction(total, 2**seq.n * 2**p)
+
+
 @st.composite
 def _pairing_cases(draw):
     # Column sums land from 1/8 to 4 times the S at which 2^n * S^p
-    # reaches 2^63, so both pairing paths are drawn.
+    # reaches a wall, so both sides of each are drawn; every component
+    # stays below 2^63 / n, so no DP guard refuses.
     n = draw(st.integers(1, 12))
     k = draw(st.integers(1, 2))
     p = draw(st.sampled_from((1, 2, 3)))
-    edge = int(2 ** ((63 - n) / p))
+    edge = int((draw(st.sampled_from(_WALLS)) / 2**n) ** (1 / p))
     hi = min(edge * draw(st.sampled_from((2, 4, 8, 16, 32))) // (8 * n), ((1 << 63) - 1) // n)
     component = st.integers(hi // 2, hi)
     vectors = tuple(draw(st.lists(st.tuples(*[component] * k), min_size=n, max_size=n)))
@@ -369,48 +385,84 @@ def _column_sequence(coords):
     return VectorSequence(len(coords), 1, max(coords), tuple((c,) for c in coords))
 
 
-# 2^n * S^p at 2^63 - 2 (int64 path) and 2^63 (Python ints) with n = 1,
-# p = 1, and at 2^63 - 3 * 2^43 + 3 * 2^23 - 8 and 2^63 with n = 3, p = 3.
-_PAIRING_EDGES = (
-    (_column_sequence((2**62 - 1,)), 1),
-    (_column_sequence((2**62,)), 1),
-    (_column_sequence((2**19 - 1, 2**18, 2**18)), 3),
-    (_column_sequence((2**19, 2**18, 2**18)), 3),
+def _wall_sides(wall, n, p):
+    """The largest S with 2^n * S^p < wall, and S + 1."""
+    s = int((wall / 2**n) ** (1 / p))
+    while (s + 1) ** p << n < wall:
+        s += 1
+    while s**p << n >= wall:
+        s -= 1
+    return s, s + 1
+
+
+# Column sums S on either side of each wall, as 1 entry (where the total
+# is 2 * S^p, 2^n * S^p itself), 2 entries or 3 (halves of 1 and 2),
+# wherever both halves sum below 2^63, with the number of moduli each
+# needs: w + 1 below wall w and w + 2 past it. At n = 1, p = 1 the side
+# past 2^64 would be the entry 2^63, which the DP refuses, and no n <= 3
+# at p = 1 reaches 2^64 * q_1.
+_PAIRING_EDGES = tuple(
+    (_column_sequence(parts), p, w + side)
+    for w, wall in enumerate(_WALLS, start=1)
+    for n, p in ((1, 1), (2, 1), (1, 2), (3, 2), (1, 3), (3, 3))
+    for side, s in enumerate(_wall_sides(wall, n, p))
+    for parts in [[(s,), (s - s // 2, s // 2), (s - 2 * (s // 4), s // 4, s // 4)][n - 1]]
+    if all(sum(half) < 1 << 63 for half in (parts[: n // 2], parts[n // 2 :]))
 )
 
 
 @settings(max_examples=200)
 @given(_pairing_cases())
-@example(_PAIRING_EDGES[0])
-@example(_PAIRING_EDGES[1])
-@example(_PAIRING_EDGES[2])
-@example(_PAIRING_EDGES[3])
-def test_int64_pairing_matches_python_ints(case):
+def test_residue_pairing_matches_full_support(case):
     seq, p = case
-    got = exact_moment(seq, p)
-    with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(moments, "_pairs_fit_int64", lambda n, reach, p: False)
-        assert exact_moment(seq, p) == got
+    assert exact_moment(seq, p).value == _full_support_moment(seq, p)
 
 
-def test_int64_pairing_bound_edges():
-    fits = moments._pairs_fit_int64
-    assert fits(0, 2**63 - 1, 1) and not fits(0, 2**63, 1)
-    assert fits(1, 2**62 - 1, 1) and not fits(1, 2**62, 1)
-    assert fits(3, 2**20 - 1, 3) and not fits(3, 2**20, 3)
-    # At 2^63 - 1 itself the int64 path is exact: one y = 2^63 - 1 against
-    # the distribution of no entries.
+def test_residue_pairing_bound_edges(monkeypatch):
+    assert len(_PAIRING_EDGES) == 2 * 6 * 2 - 5
+    real, moduli = moments._paired_residue, []
+    monkeypatch.setattr(
+        moments, "_paired_residue", lambda *args: moduli.append(args[-1]) or real(*args)
+    )
+    for seq, p, needed in _PAIRING_EDGES:
+        moduli.clear()
+        assert exact_moment(seq, p).value == _full_support_moment(seq, p), (seq, p)
+        assert moduli == list(moments._MODULI[:needed]), (seq, p)
+    # At 2^63 - 1 itself the 2^64 residue alone is exact: one y = 2^63 - 1
+    # against the distribution of no entries.
     empty = signed_sum_distribution(())
     ys, weights = np.array([2**63 - 1]), np.array([1])
-    for path in (True, False):
-        prefix = moments._prefix_power_sums(empty, 1, path)
-        assert moments._paired_power_sum(ys, weights, empty, prefix, 1) == 2**63 - 1
-    for seq, p in _PAIRING_EDGES:
-        total = sum(
-            abs(sum(e * vec[0] for e, vec in zip(signs, seq.vectors))) ** p
-            for signs in itertools.product((-1, 1), repeat=seq.n)
-        )
-        assert exact_moment(seq, p).value == Fraction(total, 2**seq.n * 2**p)
+    assert moments._paired_power_sum(ys, weights, empty, 1) == 2**63 - 1
+
+
+def test_pairing_moduli():
+    # 2^64 first, then primes below 2^32, distinct and prime by trial
+    # division up to 2^16. Their product passes 2^316 = 2^124 * (2^64)^3,
+    # the largest 2^n * S^p the DP guards admit: two halves of at most 62
+    # entries, each summing below 2^63.
+    word, *primes = moments._MODULI
+    assert word == 1 << 64
+    assert len(set(primes)) == len(primes) == 8
+    for q in primes:
+        assert q < 1 << 32
+        assert all(q % d for d in range(2, math.isqrt(q) + 1)), q
+    assert math.prod(moments._MODULI) > 1 << 316
+    assert math.prod(moments._MODULI[:-1]) < 1 << 316
+
+
+def test_pairing_refuses_sides_of_2_to_32_entries():
+    # A prime residue sums a side's residues unreduced, so a side of 2^32
+    # entries is refused before anything is allocated; broadcast views give
+    # such sides without the memory.
+    def side(entries):
+        return np.broadcast_to(np.int64(1), (entries,))
+
+    small = signed_sum_distribution((1,))
+    big = moments.SignedSumDistribution(n=32, values=side(1 << 32), counts=side(1 << 32))
+    for ys, inner in ((side(1 << 32), small), (side(1), big)):
+        with pytest.raises(BudgetExceededError) as err:
+            moments._paired_power_sum(ys, side(len(ys)), inner, 3)
+        assert (err.value.needed, err.value.budget) == (1 << 32, (1 << 32) - 1)
 
 
 def test_exact_moment_examples():

@@ -58,6 +58,8 @@ def test_sequence_from_text_rejects_malformed_input():
     with pytest.raises(ValueError):
         VectorSequence.from_text("2 1 4\n1 2\n3 4\n")
     with pytest.raises(ValueError):
+        VectorSequence.from_text("2 1 4\n1\n2\n1\n")
+    with pytest.raises(ValueError):
         VectorSequence.from_text("")
 
 
