@@ -114,26 +114,41 @@ class BoundReport:
 
 
 def _finite(n: int, k: int, p: int) -> float:
-    t_p = scaled_abs_moment_sum(n, p).value
-    return radius_for_count(n, k, p) * (2.0 ** (n + p) / ((k + p) * float(t_p))) ** (1.0 / p)
+    # T_p(n) / 2^n, correctly rounded by int division, stays in the float
+    # range long after T_p(n) leaves it; scaling by the exact power 2^-n
+    # leaves every rounding as it was.
+    mean = scaled_abs_moment_sum(n, p).value / (1 << n)
+    return radius_for_count(n, k, p) * (2.0**p / ((k + p) * mean)) ** (1.0 / p)
 
 
 def lower_bound(n: int, k: int, method: str) -> BoundReport:
-    """Lower bound on M for length-n sequences in Z^k via one method."""
+    """Lower bound on M for length-n sequences in Z^k via one method.
+
+    Raises ValueError when a bound, or a factor of it, passes the float
+    range, as 2^(n/k) does from n / k = 1024 on.
+    """
     if n < 1:
         raise ValueError(f"sequence length must be >= 1, got {n}")
     if method not in _ORDER:
         raise ValueError(f"unknown method {method!r}, expected one of {METHOD_TOKENS}")
     p = _ORDER[method]
     c = coeff(p, k)
+    try:
+        asymptotic = c * 2.0 ** (n / k) / math.sqrt(n)
+        # The variance route is reported without a finite form.
+        finite = None if method == METHOD_VARIANCE else _finite(n, k, p)
+        # A power of 2.0 passing the range raises; a product passing it is inf.
+        if finite == math.inf:
+            raise OverflowError
+    except OverflowError:
+        raise ValueError(f"the {method} bound at n={n}, k={k} passes the float range") from None
     return BoundReport(
         method=method,
         k=k,
         n=n,
         coefficient=c,
-        asymptotic_bound=c * 2.0 ** (n / k) / math.sqrt(n),
-        # The variance route is reported without a finite form.
-        finite_bound=None if method == METHOD_VARIANCE else _finite(n, k, p),
+        asymptotic_bound=asymptotic,
+        finite_bound=finite,
     )
 
 

@@ -19,6 +19,7 @@ clean.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 from dataclasses import dataclass
@@ -288,7 +289,13 @@ def _seed_u64(text: str) -> int:
     return value
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use.
+
+    Sharing it is safe: each parse_args call fills a fresh Namespace, and
+    no argument has a mutable default or an append action.
+    """
     parser = argparse.ArgumentParser(
         prog="dsslab",
         description="Distinct-subset-sum laboratory: bounds, lattice checks, verification, search.",
@@ -355,7 +362,10 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def build_config(argv) -> RunConfig:
-    """Parse argv into an immutable RunConfig. Exits with code 2 on usage errors."""
+    """Parse argv into an immutable RunConfig. Exits with code 2 on usage errors.
+
+    Cheap to call repeatedly: every call reuses the one cached parser.
+    """
     values = vars(_build_parser().parse_args(argv))
     return RunConfig(**{f: values[f] for f in RunConfig.__dataclass_fields__ if f in values})
 

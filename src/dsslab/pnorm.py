@@ -383,8 +383,8 @@ def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUD
     Returns |#{s in Z^k : ||s||_p <= r} - V_{k,p}(r)| / V_{k,p}(r).
     """
     _validate_lattice_args(k, p)
-    if r <= 0:
-        raise ValueError(f"radius must be positive, got {r}")
+    if not 0 < r < math.inf:
+        raise ValueError(f"radius must be finite and positive, got {r}")
     t = math.floor(r)
     box = (2 * t + 1) ** k
     if box > budget:

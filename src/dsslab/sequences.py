@@ -227,8 +227,10 @@ def _zero_sum_signs(seq: VectorSequence) -> int:
     nonzero d_j would have to be a multiple of S_j + 1. Each half of the
     packed vectors gets one three-sign distribution, and a zero total
     pairs v on the left with -v on the right; the right is symmetric, so
-    the count is sum_v c_L(v) c_R(v). One searchsorted finds the left
-    values the right holds, and an int64 dot product sums their count
+    the count is sum_v c_L(v) c_R(v). Both halves are symmetric with 0 in
+    the middle, so only v >= 0 is paired: the count is
+    2 sum_{v>0} c_L(v) c_R(v) + c_L(0) c_R(0). One searchsorted finds the
+    left values the right holds, and an int64 dot product sums their count
     products: the count is at most 3^n < 2^63, since n <= VERIFY_MAX_N. It
     is 1, eps = 0 alone, exactly when the 2^n subset sums are distinct.
     Each half's support is held to the DP's default budget.
@@ -240,13 +242,16 @@ def _zero_sum_signs(seq: VectorSequence) -> int:
         packed = [acc + c * scale for acc, c in zip(packed, column)]
         scale *= sum(column) + 1
     half = seq.n // 2
-    left, right = (
-        signed_sum_distribution(part, signs=(-1, 0, 1))
-        for part in (packed[:half], packed[half:])
-    )
-    at = np.minimum(right.values.searchsorted(left.values), len(right.values) - 1)
-    shared = right.values[at] == left.values
-    return int(np.dot(left.counts[shared], right.counts[at[shared]]))
+    halves = []
+    for part in (packed[:half], packed[half:]):
+        dist = signed_sum_distribution(part, signs=(-1, 0, 1))
+        middle = len(dist.values) // 2
+        halves.append((dist.values[middle:], dist.counts[middle:]))
+    (lv, lc), (rv, rc) = halves
+    at = np.minimum(rv.searchsorted(lv), len(rv) - 1)
+    shared = rv[at] == lv
+    # Both value arrays start at 0, so the v = 0 product is counted once.
+    return 2 * int(np.dot(lc[shared], rc[at[shared]])) - int(lc[0] * rc[0])
 
 
 def verify_distinct(seq: VectorSequence) -> Collision | None:

@@ -19,6 +19,9 @@ from dsslab import (
     published_regime,
     regime_disagreements,
 )
+from dsslab.bounds import _finite
+from dsslab.combinatorics import scaled_abs_moment_sum
+from dsslab.pnorm import radius_for_count
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -147,6 +150,34 @@ def test_finite_form_approaches_asymptotic():
             for method in (METHOD_FIRST, METHOD_THIRD):
                 row = lower_bound(n, k, method)
                 assert row.finite_bound <= 1.05 * row.asymptotic_bound, (n, k, method)
+
+
+def test_finite_form_unchanged_by_scaling_out_two_to_the_n():
+    # Dividing T_p(n) by the exact power 2^n changes no rounding. The
+    # unscaled form gave 0 where (k + p) * T_p(n) passed the float range.
+    for p, k in itertools.product((1, 3), (1, 2, 10, 200)):
+        for n in (*range(1, 41), *range(995, 1009)):
+            denominator = (k + p) * float(scaled_abs_moment_sum(n, p).value)
+            got = _finite(n, k, p)
+            if denominator < math.inf:
+                want = radius_for_count(n, k, p) * (2.0 ** (n + p) / denominator) ** (1.0 / p)
+                assert got == want, (n, k, p)
+            else:
+                assert 0 < got < math.inf, (n, k, p)
+
+
+def test_lower_bound_past_the_float_range_is_a_value_error():
+    # T_3(n) passes the float range from n = 1009 and T_1(n) from n = 1020;
+    # the bounds there are finite.
+    for n in (1009, 1020):
+        for method in (METHOD_FIRST, METHOD_THIRD):
+            row = lower_bound(n, 1, method)
+            assert 0 < row.finite_bound < math.inf
+    # 2^(n/k) raises from n / k = 1024 on, and at n / k = 1023.5 the radius
+    # 2^1023.5 * sqrt(2) / 2 is inf before its division by 2.
+    for n, k, method in ((1024, 1, METHOD_VARIANCE), (5000, 2, METHOD_THIRD), (2047, 2, METHOD_FIRST)):
+        with pytest.raises(ValueError, match="passes the float range"):
+            lower_bound(n, k, method)
 
 
 def test_lower_bound_validation():

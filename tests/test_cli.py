@@ -13,7 +13,7 @@ import pytest
 
 from conftest import conway_guy
 from dsslab import VectorSequence, crossover_table, exact_moment, sequences, verify_distinct
-from dsslab.cli import DEFAULT_SEED, build_config, main, run
+from dsslab.cli import DEFAULT_SEED, RunConfig, _build_parser, build_config, main, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -74,6 +74,52 @@ def test_defaults():
     assert cfg.fmt == "text"
     assert cfg.seed == DEFAULT_SEED == 1729
     assert cfg.out is None
+
+
+def test_cached_parser_keeps_no_state_between_parses(capsys):
+    assert _build_parser() is _build_parser()
+    build_config(["search", "--n", "4", "--k", "1", "--budget", "5"])
+    cfg = build_config(["moments", "--file", "f", "--p", "1"])
+    assert cfg.budget is None and cfg.samples is None and cfg.seed == 1729
+    with pytest.raises(SystemExit) as exc:
+        build_config(["bounds", "--n", "4", "--k", "1", "--format", "bogus"])
+    assert exc.value.code == 2
+    capsys.readouterr()
+    assert build_config(["bounds", "--n", "4", "--k", "1"]) == RunConfig("bounds", n=4, k=1)
+    argv = ["moments", "--file", "f", "--p", "2", "--samples", "9", "--seed", "3", "--format", "csv"]
+    assert build_config(argv) == build_config(argv)
+
+
+def _usage_error(capsys, argv) -> str:
+    # Exit 2, nothing on stdout and one `error:` line on stderr, returned.
+    assert main(argv) == 2, argv
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+    return captured.err
+
+
+@pytest.mark.parametrize("k", [1, 2, 10])
+def test_bounds_past_the_float_range_never_exit_refuted(capsys, k):
+    # T_3(n) passes the float range from n = 1009 and T_1(n) from n = 1020,
+    # but the bounds stay finite until n / k reaches 1024.
+    for n in (1008, 1009, 1020, 1024, 5000):
+        argv = ["bounds", "--n", str(n), "--k", str(k), "--format", "csv"]
+        if n / k >= 1024:
+            _usage_error(capsys, argv)
+            continue
+        assert main(argv) == 0, argv
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        rows = [line.split(",") for line in captured.out.splitlines()[1:]]
+        assert [row[0] for row in rows] == ["first_moment", "third_moment", "variance"]
+        assert all(0 < float(cell) < math.inf for row in rows for cell in row[2:] if cell)
+
+
+@pytest.mark.parametrize("radius", ["inf", "nan", "-1", "0"])
+def test_lattice_check_rejects_non_finite_or_non_positive_radius(capsys, radius):
+    err = _usage_error(capsys, ["lattice-check", "--radius", radius, "--k", "2", "--p", "2"])
+    assert "radius must be finite and positive" in err
 
 
 def test_run_is_reproducible(good_file):

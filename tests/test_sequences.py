@@ -23,6 +23,7 @@ from dsslab import (
     min_m_search,
     verify_distinct,
 )
+from dsslab.moments import signed_sum_distribution
 from dsslab.sequences import (
     _bruteforce_level,
     _gray_first_collision,
@@ -274,6 +275,31 @@ def _colliding_sequences(draw):
     vectors = draw(st.lists(st.tuples(*[st.integers(0, 6)] * k), min_size=n, max_size=n))
     bound = max((c for vec in vectors for c in vec), default=0)
     return VectorSequence(n, k, bound, tuple(vectors))
+
+
+def _zero_sum_signs_full(seq):
+    # The pair count over every v of the left half, not only v >= 0.
+    packed = [0] * seq.n
+    scale = 1
+    for j in range(seq.k):
+        column = [vec[j] for vec in seq.vectors]
+        packed = [acc + c * scale for acc, c in zip(packed, column)]
+        scale *= sum(column) + 1
+    half = seq.n // 2
+    left, right = (
+        signed_sum_distribution(part, signs=(-1, 0, 1)) for part in (packed[:half], packed[half:])
+    )
+    at = np.minimum(right.values.searchsorted(left.values), len(right.values) - 1)
+    shared = right.values[at] == left.values
+    return int(np.dot(left.counts[shared], right.counts[at[shared]]))
+
+
+@settings(max_examples=100)
+@given(_small_sequences(16) | _colliding_sequences())
+def test_pair_count_over_nonnegative_values_matches_full_count(seq):
+    # Narrow components collide and wide ones are mostly distinct, so both
+    # a count of 1 and larger counts are drawn.
+    assert _zero_sum_signs(seq) == _zero_sum_signs_full(seq)
 
 
 @settings(max_examples=300)
