@@ -14,8 +14,8 @@ one per half of the entries (Horowitz-Sahni), through exact prefix power
 sums, so the full 2^n-entry support of a distinct-sum coordinate is never
 built; the pairing runs in uint64 arrays modulo 2^64 and as many primes
 below 2^32 as 2^n * S_j^p needs, and the Chinese remainder theorem
-recovers its exact sum. The same DP over the signs {-1, 0, +1} decides
-distinct subset sums in sequences.
+recovers its exact sum. The same split into halves (_halves), over the
+signs {-1, 0, +1}, decides distinct subset sums in sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p) on
@@ -140,14 +140,10 @@ class SignedSumDistribution:
     distribution is symmetric under negation. support reads the same as a
     value -> count mapping. Values are in the doubled convention (signs
     +-1); divide by 2 to read them on the +-1/2 scale.
-    coordinate records which coordinate of the owning sequence this is,
-    when there is one.
     """
 
-    n: int
     values: np.ndarray
     counts: np.ndarray
-    coordinate: int | None = None
 
     @property
     def support(self) -> Mapping[int, int]:
@@ -160,7 +156,6 @@ class SignedSumDistribution:
 def signed_sum_distribution(
     coords,
     budget: int = DEFAULT_TABLE_BUDGET,
-    coordinate: int | None = None,
     signs: tuple[int, ...] = (-1, 1),
 ) -> SignedSumDistribution:
     """Exact convolution of the distributions of eps * c, eps uniform over signs.
@@ -225,7 +220,7 @@ def signed_sum_distribution(
     values, counts = _fold(values, counts)
     if counts is None:
         counts = np.ones(len(values), dtype=np.int64)
-    return SignedSumDistribution(n=n, values=values, counts=counts, coordinate=coordinate)
+    return SignedSumDistribution(values=values, counts=counts)
 
 
 def _fold(
@@ -267,6 +262,31 @@ def _union_size(runs: np.ndarray) -> int:
             fresh &= earlier[hit] != run
         size += int(np.count_nonzero(fresh))
     return size
+
+
+def _halves(
+    coords: list[int], budget: int, signs: tuple[int, ...]
+) -> tuple[np.ndarray, np.ndarray, SignedSumDistribution]:
+    """The meet-in-the-middle split of coords (Horowitz-Sahni): (ys, weights, inner).
+
+    The first len(coords) // 2 entries and the rest get one signed-sum
+    distribution each, in that order, so a signed sum over all of coords
+    is a value y of one half plus a value z of the other. inner is the
+    half with more values. Both halves are symmetric, so y and -y pair
+    alike: ys are the other half's values y >= 0, and weights their
+    counts, doubled for y > 0 to stand for -y as well. Negation maps the
+    sign patterns reaching y onto those reaching -y, so the count of a
+    y > 0 is at most half of its half's patterns, and the doubled weight
+    fits in int64.
+    """
+    parts = coords[: len(coords) // 2], coords[len(coords) // 2 :]
+    outer, inner = sorted(
+        (signed_sum_distribution(part, budget=budget, signs=signs) for part in parts),
+        key=lambda dist: len(dist.values),
+    )
+    nonneg = outer.values >= 0
+    ys = outer.values[nonneg]
+    return ys, outer.counts[nonneg] << (ys > 0), inner
 
 
 def _residues(a: np.ndarray, q: int) -> np.ndarray:
@@ -359,34 +379,19 @@ def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET
     """E[||X||_p^p] as an exact rational, p in {1, 2, 3}.
 
     Sums per-coordinate contributions E|X_j|^p. Each coordinate is split
-    into its first n // 2 entries and the rest, one exact DP per half, and
-    the two halves are paired by _paired_power_sum, so no support larger
-    than one half's is built and budget and the int64 guards apply to each
-    half. Its residues, modulo 2^64 and primes below 2^32, make the sum
-    exact for every half the guards admit. The halving of values enters
-    as the factor 2^p.
+    by _halves, one exact DP per half of the entries, and the two halves
+    are paired by _paired_power_sum, so no support larger than one half's
+    is built and budget and the int64 guards apply to each half. Its
+    residues, modulo 2^64 and primes below 2^32, make the sum exact for
+    every half the guards admit. The halving of values enters as the
+    factor 2^p.
     """
     if p not in (1, 2, 3):
         raise ValueError(f"exact path supports p in {{1, 2, 3}}, got {p}")
-    half = seq.n // 2
-    power_sum = 0
-    for j in range(seq.k):
-        coords = [vec[j] for vec in seq.vectors]
-        outer, inner = sorted(
-            (
-                signed_sum_distribution(coords[:half], budget=budget, coordinate=j),
-                signed_sum_distribution(coords[half:], budget=budget, coordinate=j),
-            ),
-            key=lambda dist: len(dist.values),
-        )
-        # Both halves are symmetric, so y and -y pair alike: visit y >= 0,
-        # a positive y standing for its negation as well. Its count is at
-        # most half of outer's 2^n patterns (flip an entry that moves it),
-        # so the doubled weight fits in int64.
-        nonneg = outer.values >= 0
-        ys = outer.values[nonneg]
-        weights = outer.counts[nonneg] << (ys > 0)
-        power_sum += _paired_power_sum(ys, weights, inner, p)
+    power_sum = sum(
+        _paired_power_sum(*_halves([vec[j] for vec in seq.vectors], budget, (-1, 1)), p)
+        for j in range(seq.k)
+    )
     value = Fraction(power_sum, (1 << seq.n) * 2**p)
     return MomentValue(p=p, value=value, provenance="exact_dp", stderr=None, samples=None)
 

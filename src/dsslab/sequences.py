@@ -10,11 +10,12 @@ the pairs of half sums that cancel, in O(3^(n/2)). The sums are
 distinct exactly when that count is 1. Only to name a collision does it
 walk subsets in Gray-code order, to the first repeat and within the
 DP's budget of 2^22 sums. The walk doubles its walked prefix level by
-level: the next 2^j packed sums (mixed radix n*M + 1) are the first 2^j
+level: the next 2^j packed sums, in the same radix, are the first 2^j
 in reverse, shifted by vector j, and they are looked up block by block
 in the walked sums kept sorted, 16 bytes per walked sum. The walk also
-settles the inputs that pigeonhole already condemns and those too wide
-to pack into int64, on Python ints.
+settles the inputs that pigeonhole already condemns, those too wide to
+pack into int64 (on Python ints) and those whose halves pass the DP's
+budget.
 
 The searcher iterates M upward and runs a depth-first search over
 canonical candidate sequences per level, refuting each M below the
@@ -36,7 +37,7 @@ import numpy as np
 
 from .bounds import METHOD_TOKENS, lower_bound
 from .errors import BudgetExceededError
-from .moments import DEFAULT_TABLE_BUDGET, signed_sum_distribution
+from .moments import DEFAULT_TABLE_BUDGET, _halves
 
 __all__ = [
     "VERIFY_MAX_N",
@@ -57,10 +58,11 @@ __all__ = [
 # Largest n verify_distinct accepts. Below it the pair count's half
 # supports obey the DP's budget of 2^22 entries: every input up to n = 26
 # fits (3^13 entries a half), and longer ones fit when their half sums
-# fold, as baseline_construction(30, k)'s do; the rest are refused. The
-# Gray walk looks at no more than 2^22 sums. It holds at most 2^21 of
-# them, in int64, in step order and sorted (32 MB), and a full 2^22-sum
-# walk peaks 57 MB above the interpreter while merging its last level.
+# fold, as baseline_construction(30, k)'s do. The rest go to the Gray
+# walk, and are refused unless it finds a repeat within its budget: it
+# looks at no more than 2^22 sums. It holds at most 2^21 of them, in
+# int64, in step order and sorted (32 MB), and a full 2^22-sum walk peaks
+# 57 MB above the interpreter while merging its last level.
 VERIFY_MAX_N = 30
 
 # Search nodes are candidate vector placements; one node per attempt.
@@ -145,10 +147,19 @@ def _pack(vec: tuple[int, ...], base: int) -> int:
     return acc
 
 
-def _packed_vectors(seq: VectorSequence) -> list[int]:
-    # Component sums stay in [0, n*bound], so base n*bound + 1 never carries.
-    base = seq.n * seq.bound + 1
-    return [_pack(vec, base) for vec in seq.vectors]
+def _mixed_radix(seq: VectorSequence) -> tuple[list[int], int]:
+    """The vectors packed in mixed radix S_j + 1, S_j coordinate j's sum, and prod_j (S_j + 1).
+
+    Coordinate j of a subset sum lies in [0, S_j], so packed subset sums
+    never carry: they are equal exactly when the vector sums are, and all
+    lie below the returned radix product.
+    """
+    packed = [0] * seq.n
+    scale = 1
+    for column in zip(*seq.vectors):
+        packed = [acc + c * scale for acc, c in zip(packed, column)]
+        scale *= sum(column) + 1
+    return packed, scale
 
 
 def iter_gray_subset_sums(seq: VectorSequence) -> Iterator[tuple[int, int]]:
@@ -157,7 +168,9 @@ def iter_gray_subset_sums(seq: VectorSequence) -> Iterator[tuple[int, int]]:
     Subsets follow the reflected Gray code, so consecutive masks differ in
     one bit and the packed sum updates by one addition or subtraction.
     """
-    packed = _packed_vectors(seq)
+    # Base n*M + 1, apart from _mixed_radix: this is the oracles' route
+    # (_bruteforce_level, the tests' dict walk), independent of the walk.
+    packed = [_pack(vec, seq.n * seq.bound + 1) for vec in seq.vectors]
     current = 0
     yield 0, 0
     for step in range(1, 1 << seq.n):
@@ -186,15 +199,16 @@ def _gray_first_collision(
     kept sorted. Only a clean level is appended to `walk`, and its
     sorted sums, the old ones shifted by a_j, are merged in by a stable
     sort of the two sorted runs. That holds 16 bytes per walked sum. The
-    sums are int64 while (n*M + 1)^k < 2^63 and Python ints past it.
+    sums, packed by _mixed_radix, are int64 while the radix product is
+    below 2^63 and Python ints from there on.
 
     At most budget steps are looked at; when the budget runs out before a
     repeat or the end of the walk, BudgetExceededError is raised.
     """
-    wide = (seq.n * seq.bound + 1) ** seq.k >= 1 << 63
+    packed, radix = _mixed_radix(seq)
     limit = min(budget, 1 << seq.n)
-    walk = ordered = np.zeros(1, dtype=object if wide else np.int64)
-    for j, vec in enumerate(_packed_vectors(seq)):
+    walk = ordered = np.zeros(1, dtype=object if radix >= 1 << 63 else np.int64)
+    for j, vec in enumerate(packed):
         half = 1 << j
         back = walk[::-1]
         for lo in range(0, min(half, limit - half), _PROBE_BLOCK):
@@ -222,36 +236,22 @@ def _gray_first_collision(
 def _zero_sum_signs(seq: VectorSequence) -> int:
     """The number of eps in {-1, 0, 1}^n with sum eps_i a_i = 0, by meet-in-the-middle.
 
-    Coordinate j's signed sums d_j lie in [-S_j, S_j]. Packed in mixed
-    radix S_j + 1, a signed sum is 0 exactly when every d_j is: the lowest
-    nonzero d_j would have to be a multiple of S_j + 1. Each half of the
-    packed vectors gets one three-sign distribution, and a zero total
-    pairs v on the left with -v on the right; the right is symmetric, so
-    the count is sum_v c_L(v) c_R(v). Both halves are symmetric with 0 in
-    the middle, so only v >= 0 is paired: the count is
-    2 sum_{v>0} c_L(v) c_R(v) + c_L(0) c_R(0). One searchsorted finds the
-    left values the right holds, and an int64 dot product sums their count
-    products: the count is at most 3^n < 2^63, since n <= VERIFY_MAX_N. It
-    is 1, eps = 0 alone, exactly when the 2^n subset sums are distinct.
-    Each half's support is held to the DP's default budget.
+    Coordinate j's signed sums d_j lie in [-S_j, S_j]. Packed by
+    _mixed_radix, a signed sum is 0 exactly when every d_j is: the lowest
+    nonzero d_j would have to be a multiple of S_j + 1. _halves splits the
+    packed vectors into two three-sign distributions, and a zero total
+    pairs y in one with -y in the other. Both are symmetric, so the count
+    is sum w_y c(y) over _halves' ys >= 0 and weights w_y, c(y) being the
+    inner half's count of y. One searchsorted finds the ys inner holds,
+    and an int64 dot product sums their products: the count is at most
+    3^n < 2^63, since n <= VERIFY_MAX_N. It is 1, eps = 0 alone, exactly
+    when the 2^n subset sums are distinct. Each half's support is held to
+    the DP's default budget.
     """
-    packed = [0] * seq.n
-    scale = 1
-    for j in range(seq.k):
-        column = [vec[j] for vec in seq.vectors]
-        packed = [acc + c * scale for acc, c in zip(packed, column)]
-        scale *= sum(column) + 1
-    half = seq.n // 2
-    halves = []
-    for part in (packed[:half], packed[half:]):
-        dist = signed_sum_distribution(part, signs=(-1, 0, 1))
-        middle = len(dist.values) // 2
-        halves.append((dist.values[middle:], dist.counts[middle:]))
-    (lv, lc), (rv, rc) = halves
-    at = np.minimum(rv.searchsorted(lv), len(rv) - 1)
-    shared = rv[at] == lv
-    # Both value arrays start at 0, so the v = 0 product is counted once.
-    return 2 * int(np.dot(lc[shared], rc[at[shared]])) - int(lc[0] * rc[0])
+    ys, weights, inner = _halves(_mixed_radix(seq)[0], DEFAULT_TABLE_BUDGET, (-1, 0, 1))
+    at = np.minimum(inner.values.searchsorted(ys), len(inner.values) - 1)
+    shared = inner.values[at] == ys
+    return int(np.dot(weights[shared], inner.counts[at[shared]]))
 
 
 def verify_distinct(seq: VectorSequence) -> Collision | None:
@@ -263,14 +263,22 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
     name a collision. The packed radix prod_j (S_j + 1) sends two kinds of
     input to the walk alone: below 2^n, pigeonhole forces a collision, and
     from 2^63 on, the packed sums do not fit in int64. A half whose support
-    passes the DP budget, or a walk that sees DEFAULT_TABLE_BUDGET sums,
-    fewer than 2^n, without a repeat, raises BudgetExceededError.
+    passes the DP budget sends the input to the walk as well, and when the
+    walk sees DEFAULT_TABLE_BUDGET sums, fewer than 2^n, without a repeat,
+    the half's refusal is raised; a walk that runs out on its own raises
+    its own. Both are BudgetExceededError.
     """
     if seq.n > VERIFY_MAX_N:
         raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)
-    radix = math.prod(sum(vec[j] for vec in seq.vectors) + 1 for j in range(seq.k))
-    if 1 << seq.n <= radix < 1 << 63 and _zero_sum_signs(seq) == 1:
-        return None
+    if 1 << seq.n <= _mixed_radix(seq)[1] < 1 << 63:
+        try:
+            if _zero_sum_signs(seq) == 1:
+                return None
+        except BudgetExceededError as refusal:
+            try:
+                return _gray_first_collision(seq)
+            except BudgetExceededError:
+                raise refusal from None
     return _gray_first_collision(seq)
 
 
@@ -337,6 +345,8 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
     Raises BudgetExceededError when the node budget trips mid-search.
     """
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
+    # Base n*m + 1, not _mixed_radix: the sums of the sequences to come
+    # are not known yet, and none passes n*m.
     packed = [_pack(vec, n * m + 1) for vec in candidates]
     roots = [
         idx
@@ -428,8 +438,7 @@ def min_m_search(
         if found is not None:
             indices, candidates = found
             vectors = tuple(candidates[i] for i in indices)
-            canonical = _canonical_permuted(vectors, k) if k >= 2 else tuple(sorted(vectors))
-            witness = VectorSequence(n=n, k=k, bound=m, vectors=canonical)
+            witness = VectorSequence(n=n, k=k, bound=m, vectors=_canonical_permuted(vectors, k))
             return SearchOutcome(
                 n=n,
                 k=k,

@@ -327,7 +327,8 @@ def test_moments_mc_records_seed(good_file):
 
 def test_verify_budget_exit(tmp_path, capsys):
     # 27 generic entries: the larger half needs 3^14 signed sums, past the
-    # default budget of 2^22, so verify is refused before that half merges.
+    # default budget of 2^22, and the walk's 2^22 sums hold no repeat, so
+    # verify is refused with the half's count.
     rng = random.Random(27)
     path = tmp_path / "generic27.seq"
     values = [rng.randint(0, 1 << 40) for _ in range(27)]
@@ -337,6 +338,20 @@ def test_verify_budget_exit(tmp_path, capsys):
         captured = capsys.readouterr()
         assert captured.out == ""
         assert f"needs {3**14}, budget is {1 << 22}" in captured.err
+
+
+def test_verify_walks_past_a_refused_half(tmp_path, capsys):
+    # v2 = v0 + v1 among 27 generic entries: a half passes the budget, and
+    # the walk names the collision.
+    rng = random.Random(5)
+    values = [rng.randint(1, 1 << 40) for _ in range(27)]
+    values[2] = values[0] + values[1]
+    path = tmp_path / "planted27.seq"
+    path.write_text(f"27 1 {max(values)}\n" + "".join(f"{v}\n" for v in values))
+    assert main(["verify", "--file", str(path), "--format", "json"]) == 1
+    data = json.loads(capsys.readouterr().out)
+    assert data["status"] == "collision"
+    assert (data["first"], data["second"], data["total"]) == ([0, 1], [2], [values[2]])
 
 
 def test_verify_gray_walk_budget_exit(tmp_path, capsys):

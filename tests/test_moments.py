@@ -458,7 +458,7 @@ def test_pairing_refuses_sides_of_2_to_32_entries():
         return np.broadcast_to(np.int64(1), (entries,))
 
     small = signed_sum_distribution((1,))
-    big = moments.SignedSumDistribution(n=32, values=side(1 << 32), counts=side(1 << 32))
+    big = moments.SignedSumDistribution(values=side(1 << 32), counts=side(1 << 32))
     for ys, inner in ((side(1 << 32), small), (side(1), big)):
         with pytest.raises(BudgetExceededError) as err:
             moments._paired_power_sum(ys, side(len(ys)), inner, 3)

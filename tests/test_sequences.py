@@ -27,6 +27,7 @@ from dsslab.moments import signed_sum_distribution
 from dsslab.sequences import (
     _bruteforce_level,
     _gray_first_collision,
+    _mixed_radix,
     _NodeBudget,
     _search_level,
     _zero_sum_signs,
@@ -313,13 +314,31 @@ def test_gray_walk_matches_dict_oracle(seq, data):
 
 
 def test_gray_walk_object_path_matches_dict_oracle():
-    # A 2^63 component puts (n*M + 1)^k past 2^63: the walk keeps Python ints.
+    # A 2^63 component puts the radix prod_j (S_j + 1) past 2^63: the walk
+    # keeps Python ints.
     rng = random.Random(63)
+    wide = []
     for trial in range(40):
         n, k = rng.randint(1, 12), rng.randint(1, 3)
         vectors = [tuple(rng.choice((0, 1, 2, 5, 1 << 63)) for _ in range(k)) for _ in range(n)]
         vectors[rng.randrange(n)] = (1 << 63,) * k
-        seq = VectorSequence(n, k, 1 << 63, tuple(vectors))
+        wide.append(VectorSequence(n, k, 1 << 63, tuple(vectors)))
+    # Coordinate 0 up to 2^40, the others at most 6, and v_i = v_j + v_l
+    # planted: the radix stays below 2^63 <= (n*M + 1)^k, so the walk runs
+    # in int64 where a packing in base n*M + 1 would need Python ints.
+    rng = random.Random(40)
+    narrow = []
+    for trial in range(40):
+        n, k = rng.randint(3, 12), rng.randint(2, 3)
+        vectors = [
+            (rng.randint(0, 1 << 40), *(rng.randint(0, 6) for _ in range(k - 1))) for _ in range(n)
+        ]
+        i, j, l = rng.sample(range(n), 3)
+        vectors[i] = tuple(a + b for a, b in zip(vectors[j], vectors[l]))
+        seq = VectorSequence(n, k, max(map(max, vectors)), tuple(vectors))
+        assert _mixed_radix(seq)[1] < 1 << 63 <= (n * seq.bound + 1) ** k, seq
+        narrow.append(seq)
+    for seq in wide + narrow:
         need = _first_repeat_need(seq)
         for budget in (need - 1, need, 1 << 22):
             outcome = _walk_outcome(_gray_first_collision, seq, budget)
@@ -352,13 +371,33 @@ def test_verify_default_budget_limits():
     generic = [(rng.randint(0, 1 << 40),) for _ in range(27)]
     # n = 26 is the longest generic input whose halves (3^13 entries) fit.
     assert verify_distinct(VectorSequence(26, 1, 1 << 40, tuple(generic[:26]))) is None
-    # At n = 27 the larger half needs 3^14 entries, and is refused.
+    # At n = 27 the larger half needs 3^14 entries, and is refused; the walk
+    # then sees 2^22 sums without a repeat, and the half's refusal stands.
     with pytest.raises(BudgetExceededError) as err:
         verify_distinct(VectorSequence(27, 1, 1 << 40, tuple(generic)))
     assert (err.value.needed, err.value.budget) == (3**14, 1 << 22)
+    # With v2 = v0 + v1 planted among 27 such entries the pair count is
+    # refused alike, and the walk names {2} against {0, 1} at its 8th sum.
+    rng = random.Random(5)
+    planted = [rng.randint(1, 1 << 40) for _ in range(27)]
+    planted[2] = planted[0] + planted[1]
+    seq = VectorSequence(27, 1, max(planted), tuple((v,) for v in planted))
+    with pytest.raises(BudgetExceededError) as err:
+        _zero_sum_signs(seq)
+    assert (err.value.needed, err.value.budget) == (3**14, 1 << 22)
+    assert verify_distinct(seq) == Collision(first=(0, 1), second=(2,), total=(planted[2],))
     # A folding input passes at VERIFY_MAX_N.
     for k in (1, 2, 3):
         assert verify_distinct(baseline_construction(30, k)) is None
+
+
+@settings(max_examples=300)
+@given(_small_sequences(12) | _colliding_sequences(), st.sampled_from((1, 9, 81)))
+def test_verify_with_refused_halves_is_walks_first_collision(seq, budget):
+    # A pair count budget of 1, 9 or 81 refuses halves of more than 0, 2 or
+    # 4 generic entries; the walk keeps its own budget and decides them.
+    with mock.patch("dsslab.sequences.DEFAULT_TABLE_BUDGET", budget):
+        assert verify_distinct(seq) == _gray_first_collision(seq)
 
 
 def test_verify_budget_cap():
