@@ -47,7 +47,6 @@ from .pnorm import (
     gamma_root,
     lattice_count_check,
     lattice_shell_enumerate,
-    log_gamma,
     max_enumerable_n,
     radius_for_count,
 )

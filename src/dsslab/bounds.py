@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import scaled_abs_moment_sum
-from .pnorm import gamma_fn, gamma_root, radius_for_count
+from .pnorm import GAMMA_DOMAIN, gamma_fn, gamma_root, radius_for_count
 
 __all__ = [
     "METHOD_FIRST",
@@ -86,10 +86,15 @@ def coeff(p: int, k: int) -> float:
     p = 1, 2, 3 give the first-moment, variance and third-moment
     coefficients. The variance one, c_2(k), is strictly decreasing in k,
     from 3^(-1/2) at k = 1 down toward the Stirling limit sqrt(2/(e*pi)).
+    Gamma(1 + k/p) is evaluated on GAMMA_DOMAIN only, so order p allows
+    k <= (GAMMA_DOMAIN[1] - 1) * p.
     """
     _check_k(k)
     if p < 1:
         raise ValueError(f"moment order must be >= 1, got {p}")
+    if 1.0 + k / p > GAMMA_DOMAIN[1]:
+        largest = int((GAMMA_DOMAIN[1] - 1.0) * p)
+        raise ValueError(f"k={k} is too large for moment order p={p}: that order allows k <= {largest}")
     return gamma_root(1.0 + k / p, k) / (_k_free_factor(p) * (k + p) ** (1.0 / p))
 
 

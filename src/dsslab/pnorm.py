@@ -33,7 +33,6 @@ from .errors import BudgetExceededError
 __all__ = [
     "GAMMA_DOMAIN",
     "gamma_fn",
-    "log_gamma",
     "gamma_root",
     "ball_volume",
     "radius_for_count",
@@ -86,20 +85,13 @@ def _exact_gamma(x: float):
     return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), True
 
 
-def log_gamma(x: float) -> float:
-    """log Gamma(x) on the supported domain."""
-    _check_gamma_domain(x)
-    return math.lgamma(x)
-
-
 def gamma_fn(x: float) -> float:
     """Gamma(x) for 0.05 <= x <= 500.
 
     Integer and half-integer arguments short-circuit to exact factorial
     arithmetic (rounded once on conversion to float); everything else goes
     through math.gamma. Raises OverflowError where the true value exceeds
-    the double range (x above roughly 171.6); use log_gamma or gamma_root
-    there.
+    the double range (x above roughly 171.6); use gamma_root there.
     """
     _check_gamma_domain(x)
     exact = _exact_gamma(x)
@@ -131,7 +123,7 @@ def gamma_root(x: float, r: int) -> float:
     try:
         return gamma_fn(x) ** (1.0 / r)
     except OverflowError:
-        return math.exp(log_gamma(x) / r)
+        return math.exp(math.lgamma(x) / r)
 
 
 def ball_volume(k: int, p: int, r: float) -> float:
@@ -305,17 +297,28 @@ def _ball_norm_sum(orthant: tuple[np.ndarray, np.ndarray], v: int, k: int, p: in
 
 def _grow_box(
     n: int, k: int, p: int, budget: int, what: str
-) -> tuple[int, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
     """First box side t on the growth path whose t-ball holds 2^n points.
 
-    Returns t and the orthant slice at cutoff t^p (see _orthant_slice).
+    Returns t and the orthant slice at cutoff t^p (see _orthant_slice) that
+    counted the ball, or None when the covering bound below settled t.
 
-    Boxes [-t, t]^k grow from just past the continuum radius by half their
-    side per step; any lattice point with p-norm <= t lies inside the box,
-    so the t-ball's count is exact. The budget counts the nominal box
-    points cumulatively across growth steps and is checked first, then the
-    int64 guard on the largest box norm k * t^p; only then is the slice of
-    O((t + 1)^(k - 1)) entries built.
+    Boxes [-t, t]^k grow from t0 = max(1, ceil(R) + 1), just past the
+    continuum radius R, by half their side per step; any lattice point
+    with p-norm <= t lies inside the box, so the t-ball's count is exact.
+    The budget counts the nominal box points cumulatively across growth
+    steps and is checked first, then the int64 guard on the largest box
+    norm k * t^p; only then is the ball counted, on a slice of
+    O((t + 1)^(k - 1)) entries.
+
+    For k < 2^p no slice is built and no ball counted: t0 is the answer.
+    The unit cubes z + [-1/2, 1/2]^k that meet B_p(R) cover it, so there
+    are at least vol B_p(R) = 2^n such z, and each has
+    ||z||_p <= R + k^(1/p) / 2 by the triangle inequality, which is below
+    R + 1 <= t0 exactly when k^(1/p) < 2. Floats do not break this: R is
+    exact at k = 1, and for k >= 2 (so p >= 2) the int64 guard keeps t0
+    below 2^32, where R's rounding error is far below the slack
+    1 - k^(1/p) / 2 >= 0.043 (k = 7, p = 3).
     """
     count = 1 << n
     spent = 0
@@ -325,6 +328,8 @@ def _grow_box(
         if spent > budget:
             raise BudgetExceededError(what, spent, budget)
         _check_int64_norms(t, k, p)
+        if k < 2**p:
+            return t, None
         orthant = _orthant_slice(t, k, p, t**p)
         if _ball_count(orthant, t**p, p, t) >= count:
             return t, orthant
@@ -348,6 +353,8 @@ def lattice_shell_enumerate(
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
     t, orthant = _grow_box(n, k, p, budget, "lattice box enumeration")
+    if orthant is None:
+        orthant = _orthant_slice(t, k, p, t**p)
     count = 1 << n
     lo, hi = -1, t**p
     while hi - lo > 1:
@@ -403,9 +410,10 @@ def max_enumerable_n(k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
 
     Grows the same boxes as lattice_shell_enumerate with increasing n until
     the budget or the norm guard trips, so the answer is exactly consistent
-    with it, without locating or summing any shell. When not even n = 0
-    fits, raises the BudgetExceededError that lattice_shell_enumerate(0, k, p)
-    raises.
+    with it, without locating or summing any shell; for k < 2^p it counts
+    no ball either (see _grow_box), so there the answer is budget and
+    int64 arithmetic. When not even n = 0 fits, raises the
+    BudgetExceededError that lattice_shell_enumerate(0, k, p) raises.
     """
     _validate_lattice_args(k, p)
     n = 0

@@ -116,6 +116,17 @@ def test_bounds_past_the_float_range_never_exit_refuted(capsys, k):
         assert all(0 < float(cell) < math.inf for row in rows for cell in row[2:] if cell)
 
 
+def test_bounds_past_the_gamma_domain_name_k_and_its_order(capsys):
+    # Gamma(1 + k/p) stops at 500, so order p allows k <= 499 * p.
+    err = _usage_error(capsys, ["bounds", "--n", "10", "--k", "500"])
+    assert err == "error: k=500 is too large for moment order p=1: that order allows k <= 499\n"
+    err = _usage_error(capsys, ["bounds", "--n", "10", "--k", "1498", "--method", "third_moment"])
+    assert "k=1498" in err and "p=3" in err and "k <= 1497" in err
+    for k, method in ((500, "variance"), (499, "first_moment"), (1497, "third_moment")):
+        assert main(["bounds", "--n", "10", "--k", str(k), "--method", method]) == 0
+        assert capsys.readouterr().out.splitlines()[1].startswith(method)
+
+
 @pytest.mark.parametrize("radius", ["inf", "nan", "-1", "0"])
 def test_lattice_check_rejects_non_finite_or_non_positive_radius(capsys, radius):
     err = _usage_error(capsys, ["lattice-check", "--radius", radius, "--k", "2", "--p", "2"])

@@ -19,7 +19,6 @@ from dsslab import (
     gamma_root,
     lattice_count_check,
     lattice_shell_enumerate,
-    log_gamma,
     max_enumerable_n,
     radius_for_count,
 )
@@ -54,12 +53,11 @@ def test_gamma_against_stdlib_grid():
         x *= 1.07
 
 
-def test_log_gamma_against_stdlib_grid():
-    x = 0.05
-    while x <= 500.0:
-        ref = math.lgamma(x)
-        assert abs(log_gamma(x) - ref) <= 1e-11 * max(1.0, abs(ref)), x
-        x *= 1.03
+def test_gamma_root_past_the_double_range_is_lgamma():
+    # Where Gamma(x) overflows a double, the root is taken in log space.
+    for x in np.linspace(171.7, 500.0, 400).tolist()[1:]:
+        for r in (4, 5, 17, 200, 499):
+            assert gamma_root(x, r) == math.exp(math.lgamma(x) / r), (x, r)
 
 
 def test_gamma_against_mpmath_spot_values():
@@ -244,11 +242,29 @@ PINNED_SHELLS = (
     LatticeShellSummary(n=21, k=3, p=3, count=2097152, discrete_sum=386022093895, boundary_norm_power=368027, r_discrete=71.6627099552217, r_continuous=71.67017739021986, continuum_ratio=0.9999926563711703),
 )
 
-# max_enumerable_n(k, p, budget) for k = 1..4 (rows) and p = 1..5
-# (columns), pinned from the box-array core.
+def _outcome(fn, *args, **kwargs):
+    try:
+        return fn(*args, **kwargs)
+    except BudgetExceededError as err:
+        return (err.needed, err.budget)
+
+
+# max_enumerable_n(k, p, budget) for k = 1, 2, ... (rows) and p = 1..5
+# (columns), pinned from cores that counted every box they grew (k = 1..4
+# from the box-array core); a refusal is pinned as its (needed, budget).
 PINNED_MAX_N = {
     10**4: ((13, 13, 13, 13, 13), (12, 12, 12, 13, 13), (9, 11, 12, 12, 12), (5, 8, 9, 9, 9)),
-    2**22: ((21, 21, 21, 16, 13), (20, 21, 21, 21, 21), (19, 20, 21, 21, 21), (16, 19, 20, 21, 21)),
+    2**22: (
+        (21, 21, 21, 16, 13), (20, 21, 21, 21, 21), (19, 20, 21, 21, 21), (16, 19, 20, 21, 21),
+        (13, 18, 19, 19, 20), (8, 14, 16, 16, 17), (1, 9, 11, 12, 12),
+        ((7**8, 2**22), 2, 4, 5, 6),
+    ),
+    2**16: (
+        (15, 15, 15, 15, 13), (14, 15, 15, 15, 15), (12, 14, 15, 15, 15), (9, 12, 13, 13, 13),
+        (6, 10, 11, 12, 12), ((7**6, 2**16), 2, 4, 4, 5),
+        ((7**7, 2**16), (5**7, 2**16), (5**7, 2**16), (5**7, 2**16), (5**7, 2**16)),
+        ((7**8, 2**16), (5**8, 2**16), (5**8, 2**16), (5**8, 2**16), (5**8, 2**16)),
+    ),
 }
 
 
@@ -261,7 +277,23 @@ def test_max_enumerable_n_reproduces_pinned_table():
     for budget, rows in PINNED_MAX_N.items():
         for k, row in enumerate(rows, start=1):
             for p, n_max in enumerate(row, start=1):
-                assert max_enumerable_n(k, p, budget) == n_max, (k, p, budget)
+                assert _outcome(max_enumerable_n, k, p, budget) == n_max, (k, p, budget)
+
+
+def test_covering_bound_settles_the_first_box():
+    # For k < 2^p, _grow_box returns the first side t0 without counting its
+    # ball: this is the count it skips, up to one n past each limit.
+    for budget in (2**22, 2**16):
+        for p in range(1, 6):
+            for k in range(1, min(8, 2**p - 1) + 1):
+                n_max = _outcome(max_enumerable_n, k, p, budget)
+                top = n_max + 1 if isinstance(n_max, int) else 0
+                for n in range(top + 1):
+                    t0 = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
+                    if k * t0**p > np.iinfo(np.int64).max:
+                        continue  # refused by the int64 guard before any count
+                    orthant = _orthant_slice(t0, k, p, t0**p)
+                    assert _ball_count(orthant, t0**p, p, t0) >= 2**n, (k, p, n, budget)
 
 
 def test_shell_budget_error_reports_need():
@@ -312,14 +344,6 @@ def test_max_enumerable_n_is_tight():
         lattice_shell_enumerate(n, k, p, budget=10**4)
         with pytest.raises(BudgetExceededError):
             lattice_shell_enumerate(n + 1, k, p, budget=10**4)
-
-
-
-def _outcome(fn, *args, **kwargs):
-    try:
-        return fn(*args, **kwargs)
-    except BudgetExceededError as err:
-        return (err.needed, err.budget)
 
 
 @settings(max_examples=120)
