@@ -15,8 +15,8 @@ moment):
     E|Z|^p = 2^(p/2) * Gamma((p + 1)/2) / sqrt(pi)   (Z standard normal).
 
 The finite-n counterpart, given for the first and third moments, replaces
-the normal moment by the exact sum T_p(n) = 2^p * S_p(n) of
-combinatorics.scaled_abs_moment_sum:
+the normal moment by the exact sum T_p(n) = 2^p * S_p(n), taken from the
+closed forms combinatorics.closed_form_s1 and closed_form_s3:
 
     M >= R * (2^(n+p) / ((k + p) * T_p(n)))^(1/p),   R = radius_for_count(n, k, p).
 
@@ -40,7 +40,7 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .combinatorics import scaled_abs_moment_sum
+from .combinatorics import closed_form_s1, closed_form_s3
 from .pnorm import GAMMA_DOMAIN, gamma_fn, gamma_root, radius_for_count
 
 __all__ = [
@@ -119,10 +119,11 @@ class BoundReport:
 
 
 def _finite(n: int, k: int, p: int) -> float:
-    # T_p(n) / 2^n, correctly rounded by int division, stays in the float
-    # range long after T_p(n) leaves it; scaling by the exact power 2^-n
-    # leaves every rounding as it was.
-    mean = scaled_abs_moment_sum(n, p).value / (1 << n)
+    # p is 1 or 3, and T_p(n) = 2^p * S_p(n) is an integer. T_p(n) / 2^n,
+    # correctly rounded by int division, stays in the float range long
+    # after T_p(n) leaves it; scaling by the exact power 2^-n leaves every
+    # rounding as it was.
+    mean = int(2**p * (closed_form_s1 if p == 1 else closed_form_s3)(n)) / (1 << n)
     return radius_for_count(n, k, p) * (2.0**p / ((k + p) * mean)) ** (1.0 / p)
 
 

@@ -107,7 +107,9 @@ def _emit(config: RunConfig, columns, rows, fields, code: int = 0, notes=()) -> 
     `fields` as the command's JSON object."""
     if config.fmt == "json":
         payload = {"command": config.command, **fields}
-        text = json.dumps(payload, sort_keys=True, indent=2, default=_json_default) + "\n"
+        text = json.dumps(
+            payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False
+        ) + "\n"
     else:
         text = _table(columns, rows, config.fmt)
     return CommandResult(text, tuple(notes), code)

@@ -450,6 +450,7 @@ def _draw_signs(bits: np.random.BitGenerator, out: np.ndarray) -> None:
     np.less(halves.reshape(out.shape), 0, out=out)
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> MomentValue:
     """Monte Carlo estimate of E[||X||_p^p] with standard error.
 
@@ -477,7 +478,9 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
     the deviations subtracted and squared, a second sum), made in place
     on values, so they are the same floats and no second array of
     samples is allocated. samples above MC_MAX_SAMPLES raise
-    BudgetExceededError before anything is allocated.
+    BudgetExceededError before anything is allocated. A mean or standard
+    error past the float range raises ValueError; numpy's overflow
+    warnings are off, since the refusal reports it.
     """
     if samples < 1:
         raise ValueError(f"need samples >= 1, got {samples}")
@@ -490,7 +493,11 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
     if power and sum(sum(column) ** power for column in zip(*seq.vectors)) > 1 << 53:
         power = 0
     bits = np.random.default_rng(seed).bit_generator
-    tables = _sign_tables(seq)
+    too_large = f"the Monte Carlo moment of order p={p} passes the float range"
+    try:
+        tables = _sign_tables(seq)
+    except OverflowError:  # a signed sum of the entries passes the float range
+        raise ValueError(too_large) from None
     # Sign bits of a block, each row padded with False to whole bytes.
     signs = np.zeros((_MC_BLOCK, 8 * len(tables)), dtype=bool)
     values = np.empty(samples, dtype=np.float64)
@@ -519,6 +526,8 @@ def mc_estimate(seq: VectorSequence, p: float, samples: int, seed: int) -> Momen
         np.subtract(values, mean, out=values)
         np.square(values, out=values)
         stderr = float(np.sqrt(values.sum() / (samples - 1)) / np.sqrt(samples))
+    if not math.isfinite(mean[0]) or stderr is not None and not math.isfinite(stderr):
+        raise ValueError(too_large)
     return MomentValue(
         p=p, value=float(mean[0]), provenance="monte_carlo", stderr=stderr, samples=samples
     )

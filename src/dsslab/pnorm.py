@@ -43,7 +43,7 @@ __all__ = [
     "DEFAULT_ENUM_BUDGET",
 ]
 
-# Candidate lattice points examined per call, cumulative over box growth.
+# Nominal points of the one box [-t, t]^k a lattice call may use.
 DEFAULT_ENUM_BUDGET = 1 << 22
 
 # Supported argument range for the Gamma evaluations, the window the tests
@@ -189,8 +189,12 @@ def _validate_lattice_args(k: int, p: int) -> None:
         raise ValueError(f"norm exponent must be a positive integer, got {p}")
 
 
-def _check_int64_norms(t: int, k: int, p: int) -> None:
-    """Refuse a box [-t, t]^k whose largest p-power norm k * t^p passes int64."""
+def _check_box(t: int, k: int, p: int, budget: int, what: str) -> None:
+    """Refuse a box [-t, t]^k of more than `budget` points, then one whose
+    largest p-power norm k * t^p passes int64."""
+    box = (2 * t + 1) ** k
+    if box > budget:
+        raise BudgetExceededError(what, box, budget)
     largest = k * t**p
     if largest > _INT64_MAX:
         raise BudgetExceededError("int64 lattice norms", largest, _INT64_MAX)
@@ -223,7 +227,7 @@ def _orthant_slice(t: int, k: int, p: int, cutoff: int) -> tuple[np.ndarray, np.
     Each orthant point stands for its 2^(nonzero coordinates) sign images,
     which share its norm. For k = 1 the slice is the single empty point.
     Every norm is at most (k - 1) * t^p, so int64 holds it under the
-    k * t^p guard of _grow_box.
+    k * t^p guard of _check_box.
     """
     norms = np.zeros(1, dtype=np.int64)
     weights = np.ones(1, dtype=np.int64)
@@ -295,45 +299,39 @@ def _ball_norm_sum(orthant: tuple[np.ndarray, np.ndarray], v: int, k: int, p: in
     return 2 * k * sum(w * _power_sum(y, p) for y, w in zip(roots.tolist(), per_root.tolist()))
 
 
-def _grow_box(
-    n: int, k: int, p: int, budget: int, what: str
-) -> tuple[int, tuple[np.ndarray, np.ndarray] | None]:
-    """First box side t on the growth path whose t-ball holds 2^n points.
+def _box_side(n: int, k: int, p: int, budget: int, what: str) -> int:
+    """Side t0 = max(1, ceil(R) + 1) of the one box [-t0, t0]^k a query takes.
 
-    Returns t and the orthant slice at cutoff t^p (see _orthant_slice) that
-    counted the ball, or None when the covering bound below settled t.
+    R is the continuum radius, V_{k,p}(R) = 2^n; any lattice point with
+    p-norm <= t0 lies inside the box, so the t0-ball's count is exact. The
+    box passes _check_box before any slice is built. A radius past the
+    float range is refused as the int64 guard refuses its box. Why t0 holds
+    2^n points:
 
-    Boxes [-t, t]^k grow from t0 = max(1, ceil(R) + 1), just past the
-    continuum radius R, by half their side per step; any lattice point
-    with p-norm <= t lies inside the box, so the t-ball's count is exact.
-    The budget counts the nominal box points cumulatively across growth
-    steps and is checked first, then the int64 guard on the largest box
-    norm k * t^p; only then is the ball counted, on a slice of
-    O((t + 1)^(k - 1)) entries.
-
-    For k < 2^p no slice is built and no ball counted: t0 is the answer.
-    The unit cubes z + [-1/2, 1/2]^k that meet B_p(R) cover it, so there
-    are at least vol B_p(R) = 2^n such z, and each has
-    ||z||_p <= R + k^(1/p) / 2 by the triangle inequality, which is below
-    R + 1 <= t0 exactly when k^(1/p) < 2. Floats do not break this: R is
-    exact at k = 1, and for k >= 2 (so p >= 2) the int64 guard keeps t0
-    below 2^32, where R's rounding error is far below the slack
-    1 - k^(1/p) / 2 >= 0.043 (k = 7, p = 3).
+    - k < 2^p: the unit cubes z + [-1/2, 1/2]^k that meet B_p(R) cover it,
+      so there are at least vol B_p(R) = 2^n such z, and each has
+      ||z||_p <= R + k^(1/p) / 2 < R + 1 <= t0. Floats do not break this:
+      R is exact at k = 1, and for k >= 2 (so p >= 2) the int64 guard
+      keeps t0 below 2^32, where R's rounding error is far below the
+      slack 1 - k^(1/p) / 2 >= 0.043 (k = 7, p = 3).
+    - k = 2^p, that is (4, 2) and (8, 3): the same covering with
+      k^(1/p) / 2 = 1, which needs t0 >= R + 1, so ceil(R_float) >= R; the
+      tests check that with mpmath for every n the int64 guard admits.
+    - p = 1: the ball counts L_k(t) = sum_i 2^i C(k, i) C(t, i) have
+      positive coefficients in t (the tests check k <= 8 exactly), and the
+      leading one is 2^k / k!, so L_k(t) >= vol B_1(t) >= 2^n for t >= R.
+      R's relative rounding error stays below 2^-47, so t0 > R while
+      R < 2^46; a slice past that holds over 2^46 entries per side.
+    - p = 2 with k = 5..8: no proof. The tests check the pinned budgets,
+      and lattice_shell_enumerate refuses a short box at run time.
     """
-    count = 1 << n
-    spent = 0
-    t = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
-    while True:
-        spent += (2 * t + 1) ** k
-        if spent > budget:
-            raise BudgetExceededError(what, spent, budget)
-        _check_int64_norms(t, k, p)
-        if k < 2**p:
-            return t, None
-        orthant = _orthant_slice(t, k, p, t**p)
-        if _ball_count(orthant, t**p, p, t) >= count:
-            return t, orthant
-        t += max(1, t // 2)
+    try:
+        t = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
+    except OverflowError:
+        reason = f"int64 lattice norms: the radius for n={n}, k={k}, p={p} passes the float range"
+        raise BudgetExceededError(reason, None, _INT64_MAX) from None
+    _check_box(t, k, p, budget, what)
+    return t
 
 
 def lattice_shell_enumerate(
@@ -346,15 +344,15 @@ def lattice_shell_enumerate(
     closed form and the ties on the boundary shell contribute
     (2^n - below) * v*, so no per-point tie-break is needed here (the
     points path below realizes the deterministic order when identities
-    matter). Budget counts the nominal box points, cumulative across
-    growth steps (see _grow_box).
+    matter). The budget counts the nominal points of the one box (see
+    _box_side). A box whose t-ball holds fewer than 2^n points raises
+    RuntimeError rather than return a summary of too few points.
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    t, orthant = _grow_box(n, k, p, budget, "lattice box enumeration")
-    if orthant is None:
-        orthant = _orthant_slice(t, k, p, t**p)
+    t = _box_side(n, k, p, budget, "lattice box enumeration")
+    orthant = _orthant_slice(t, k, p, t**p)
     count = 1 << n
     lo, hi = -1, t**p
     while hi - lo > 1:
@@ -363,6 +361,9 @@ def lattice_shell_enumerate(
             hi = mid
         else:
             lo = mid
+    # The count at t^p was never taken unless the bisection moved hi.
+    if hi == t**p and _ball_count(orthant, hi, p, t) < count:
+        raise RuntimeError(f"box side t={t} holds fewer than 2^n points at n={n}, k={k}, p={p}")
     vstar = hi
     below = _ball_count(orthant, vstar - 1, p, t)
     total = _ball_norm_sum(orthant, vstar - 1, k, p, t) + (count - below) * vstar
@@ -387,39 +388,40 @@ def lattice_shell_enumerate(
 def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUDGET) -> float:
     """Relative discrepancy between the lattice count in the r-ball and its volume.
 
-    Returns |#{s in Z^k : ||s||_p <= r} - V_{k,p}(r)| / V_{k,p}(r).
+    Returns |#{s in Z^k : ||s||_p <= r} - V_{k,p}(r)| / V_{k,p}(r). A
+    radius whose volume underflows to 0, or whose discrepancy passes the
+    float range, raises ValueError.
     """
     _validate_lattice_args(k, p)
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be finite and positive, got {r}")
     t = math.floor(r)
-    box = (2 * t + 1) ** k
-    if box > budget:
-        raise BudgetExceededError("lattice count enumeration", box, budget)
-    _check_int64_norms(t, k, p)
+    _check_box(t, k, p, budget, "lattice count enumeration")
     # Norms are integers, so the exact floor of r^p is the cutoff. Every
     # point of the r-ball lies in [-t, t]^k, whose norms stop at k * t^p.
     cutoff = min(math.floor(Fraction(r) ** p), k * t**p)
     count = _ball_count(_orthant_slice(t, k, p, cutoff), cutoff, p, t)
     vol = ball_volume(k, p, r)
-    return abs(count - vol) / vol
+    discrepancy = abs(count - vol) / vol if vol else math.inf
+    if not math.isfinite(discrepancy):
+        raise ValueError(f"radius {r} is too small: its ball volume {vol} leaves no finite discrepancy")
+    return discrepancy
 
 
 def max_enumerable_n(k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     """Largest n whose shell enumeration fits the budget and the int64 norms.
 
-    Grows the same boxes as lattice_shell_enumerate with increasing n until
+    Takes the same box as lattice_shell_enumerate for increasing n until
     the budget or the norm guard trips, so the answer is exactly consistent
-    with it, without locating or summing any shell; for k < 2^p it counts
-    no ball either (see _grow_box), so there the answer is budget and
-    int64 arithmetic. When not even n = 0 fits, raises the
+    with it. Only budget and int64 arithmetic: no slice is built and no
+    ball counted. When not even n = 0 fits, raises the
     BudgetExceededError that lattice_shell_enumerate(0, k, p) raises.
     """
     _validate_lattice_args(k, p)
     n = 0
     while True:
         try:
-            _grow_box(n, k, p, budget, "lattice box enumeration")
+            _box_side(n, k, p, budget, "lattice box enumeration")
         except BudgetExceededError:
             if n == 0:
                 raise

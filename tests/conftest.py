@@ -28,7 +28,7 @@ from dsslab import (
     iter_gray_subset_sums,
     radius_for_count,
 )
-from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _grow_box, _validate_lattice_args
+from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _box_side, _validate_lattice_args
 
 settings.register_profile("dsslab", deadline=None, derandomize=True, database=None)
 settings.load_profile("dsslab")
@@ -111,14 +111,14 @@ def lattice_shell_points(
     """The 2^n selected shell points themselves, as (point, norm^p) pairs:
     the pure-Python full-box oracle for lattice_shell_enumerate's slice core.
 
-    Loops over the final box of _grow_box, so budget refusals match the
-    core's. Order is the deterministic tie-break: ascending exact p-power
-    norm, then lexicographic on coordinates.
+    Loops over the box of _box_side, so budget refusals match the core's.
+    Order is the deterministic tie-break: ascending exact p-power norm,
+    then lexicographic on coordinates.
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    t, _ = _grow_box(n, k, p, budget, "lattice point enumeration")
+    t = _box_side(n, k, p, budget, "lattice point enumeration")
     cutoff = t**p
     kept = []
     for point in itertools.product(range(-t, t + 1), repeat=k):

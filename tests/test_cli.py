@@ -13,7 +13,7 @@ import pytest
 
 from conftest import conway_guy
 from dsslab import VectorSequence, crossover_table, exact_moment, sequences, verify_distinct
-from dsslab.cli import DEFAULT_SEED, RunConfig, _build_parser, build_config, main, run
+from dsslab.cli import DEFAULT_SEED, RunConfig, _build_parser, _emit, build_config, main, run
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -218,6 +218,24 @@ def test_lattice_check_ratio_undefined_at_n_zero():
     assert json.loads(res.stdout)["continuum_ratio"] is None
     text = run(build_config(["lattice-check", "--n", "0", "--k", "2", "--p", "1"]))
     assert "undefined" in text.stdout
+
+
+@pytest.mark.parametrize("k", [1, 2])
+def test_lattice_check_radius_past_the_float_range_exits_budget(capsys, k):
+    # 2^(n/k) passes the float range from n / k = 1024; the box side is
+    # refused there as the int64 guard refuses it, not with a traceback.
+    for n, what in ((1023 * k, "lattice box enumeration"), (1024 * k, "passes the float range")):
+        assert main(["lattice-check", "--n", str(n), "--k", str(k), "--p", "1"]) == 3
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("budget exceeded: ") and captured.err.count("\n") == 1
+        assert what in captured.err
+
+
+@pytest.mark.parametrize("radius, k", [("1e-200", 2), ("1e-320", 1)])
+def test_lattice_check_radius_with_no_finite_discrepancy_is_a_usage_error(capsys, radius, k):
+    err = _usage_error(capsys, ["lattice-check", "--radius", radius, "--k", str(k), "--p", "1"])
+    assert "no finite discrepancy" in err
 
 
 def test_lattice_check_budget_exit(capsys):
@@ -440,6 +458,26 @@ def test_moments_budget_counts_one_half(tmp_path, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "needs 256, budget is 255" in captured.err
+
+
+@pytest.mark.parametrize("p", ["1", "3"])
+@pytest.mark.parametrize("fmt", ["json", "text"])
+@pytest.mark.parametrize("top", [700, 1100])
+def test_moments_mc_past_the_float_range_is_a_usage_error(tmp_path, capsys, p, fmt, top):
+    # Components of 2^700 send |X|^3 (p = 3) or the squared deviations of
+    # the stderr (p = 1) past the float range, and components of 2^1100
+    # pass it themselves: refused, with no numpy warning (tier-1 turns
+    # warnings into errors) and no NaN or Infinity.
+    path = tmp_path / "huge.seq"
+    path.write_text(f"2 1 {2**top}\n{2**top}\n{2**(top - 1)}\n")
+    argv = ["moments", "--file", str(path), "--p", p, "--samples", "10", "--format", fmt]
+    err = _usage_error(capsys, argv)
+    assert "passes the float range" in err
+
+
+def test_json_refuses_non_finite_floats():
+    with pytest.raises(ValueError):
+        _emit(RunConfig("moments", fmt="json"), ("value",), [], {"value": math.inf})
 
 
 def test_moments_exact_rejects_fractional_p(good_file):

@@ -579,6 +579,20 @@ def test_mc_estimate_validation():
     assert mv.value >= 0.0
 
 
+def test_mc_estimate_refuses_a_moment_past_the_float_range():
+    # The p = 3 mean overflows; at p = 1 the mean is finite but the squared
+    # deviations of the stderr are not. Each is refused, with no warning.
+    seq = VectorSequence(2, 1, 2**700, ((2**700,), (2**699,)))
+    for p in (1, 3, 2.5):
+        with pytest.raises(ValueError, match="passes the float range"):
+            mc_estimate(seq, p, samples=10, seed=1)
+    # Components past the float range cannot even fill the sign tables.
+    with pytest.raises(ValueError, match="passes the float range"):
+        mc_estimate(VectorSequence(1, 1, 2**1100, ((2**1100,),)), 1, samples=10, seed=1)
+    # One sample has no stderr, and its |X| is finite.
+    assert mc_estimate(seq, 1, samples=1, seed=1).value in (3 * 2.0**698, 2.0**698)
+
+
 def test_mc_estimate_refuses_samples_past_cap():
     # One float64 per sample: the cap is 1 GiB, and a call past it is refused
     # before anything is allocated.

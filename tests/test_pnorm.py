@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import itertools
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from dsslab import (
     lattice_count_check,
     lattice_shell_enumerate,
     max_enumerable_n,
+    pnorm,
     radius_for_count,
 )
 from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _ball_count, _ball_norm_sum, _iroot, _orthant_slice, _power_sum
@@ -273,7 +275,13 @@ def test_shell_cells_reproduce_pinned_summaries():
         assert lattice_shell_enumerate(pinned.n, pinned.k, pinned.p) == pinned
 
 
-def test_max_enumerable_n_reproduces_pinned_table():
+def test_max_enumerable_n_reproduces_pinned_table(monkeypatch):
+    # Budget and int64 arithmetic only: no slice is built, no ball counted.
+    def refuse(*args):
+        raise AssertionError("max_enumerable_n built a slice or counted a ball")
+
+    monkeypatch.setattr(pnorm, "_orthant_slice", refuse)
+    monkeypatch.setattr(pnorm, "_ball_count", refuse)
     for budget, rows in PINNED_MAX_N.items():
         for k, row in enumerate(rows, start=1):
             for p, n_max in enumerate(row, start=1):
@@ -281,11 +289,12 @@ def test_max_enumerable_n_reproduces_pinned_table():
 
 
 def test_covering_bound_settles_the_first_box():
-    # For k < 2^p, _grow_box returns the first side t0 without counting its
-    # ball: this is the count it skips, up to one n past each limit.
+    # _box_side takes the first side t0 for every (k, p) and never grows it:
+    # this is the count it relies on, up to one n past each limit. For
+    # p = 2 and k = 5..8 no proof covers t0, so this is the whole evidence.
     for budget in (2**22, 2**16):
         for p in range(1, 6):
-            for k in range(1, min(8, 2**p - 1) + 1):
+            for k in range(1, 9):
                 n_max = _outcome(max_enumerable_n, k, p, budget)
                 top = n_max + 1 if isinstance(n_max, int) else 0
                 for n in range(top + 1):
@@ -294,6 +303,59 @@ def test_covering_bound_settles_the_first_box():
                         continue  # refused by the int64 guard before any count
                     orthant = _orthant_slice(t0, k, p, t0**p)
                     assert _ball_count(orthant, t0**p, p, t0) >= 2**n, (k, p, n, budget)
+
+
+def _polynomial_product(a: list, b: list) -> list:
+    out = [Fraction(0)] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        for j, y in enumerate(b):
+            out[i + j] += x * y
+    return out
+
+
+def test_cross_polytope_ball_counts_have_positive_coefficients():
+    # L_k(t) = sum_i 2^i C(k, i) C(t, i) counts the points of Z^k with
+    # l1 norm <= t. Positive coefficients and the leading 2^k / k! give
+    # L_k(t) >= vol B_1(t), the p = 1 case of _box_side's proof.
+    for k in range(1, 9):
+        poly = [Fraction(0)] * (k + 1)
+        for i in range(k + 1):
+            falling = [Fraction(1)]  # t (t - 1) ... (t - i + 1)
+            for j in range(i):
+                falling = _polynomial_product(falling, [Fraction(-j), Fraction(1)])
+            scale = Fraction(2**i * math.comb(k, i), math.factorial(i))
+            for d, c in enumerate(falling):
+                poly[d] += scale * c
+        assert all(c > 0 for c in poly), (k, poly)
+        assert poly[k] == Fraction(2**k, math.factorial(k))
+        for t in range(6):
+            count = _ball_count(_orthant_slice(t, k, 1, t), t, 1, t)
+            assert sum(c * t**d for d, c in enumerate(poly)) == count, (k, t)
+
+
+def test_float_radius_ceiling_reaches_the_radius_when_k_is_two_to_the_p():
+    # At k = 2^p the covering bound needs t0 >= R + 1, so ceil(R_float) >= R,
+    # checked against a 40-digit R for every n the int64 guard admits.
+    for k, p in ((4, 2), (8, 3)):
+        n = 0
+        while k * (math.ceil(radius_for_count(n, k, p)) + 1) ** p <= np.iinfo(np.int64).max:
+            with mpmath.workdps(40):
+                kk, pp = mpmath.mpf(k), mpmath.mpf(p)
+                root = mpmath.gamma(1 + kk / pp) ** (1 / kk)
+                exact = 2 ** (n / kk) * root / (2 * mpmath.gamma(1 + 1 / pp))
+                assert math.ceil(radius_for_count(n, k, p)) >= exact, (k, p, n)
+            n += 1
+        assert n > 8 * k  # the guard admits boxes far past the default budget
+
+
+def test_short_box_is_refused_not_summarised(monkeypatch):
+    # A box whose t-ball holds fewer than 2^n points is an error, not a
+    # budget refusal and never a summary of fewer points.
+    monkeypatch.setattr(pnorm, "radius_for_count", lambda n, k, p: 0.0)
+    with pytest.raises(RuntimeError) as info:
+        lattice_shell_enumerate(10, 2, 2)
+    assert type(info.value) is RuntimeError
+    assert "t=1" in str(info.value) and "n=10, k=2, p=2" in str(info.value)
 
 
 def test_shell_budget_error_reports_need():
@@ -467,6 +529,15 @@ def test_count_check_cutoff_is_exact():
     vol = ball_volume(2, 2, r)
     assert lattice_count_check(2, 2, r) == abs(count - vol) / vol
     assert abs(lattice_count_check(2, 2, r) - 0.1215) < 1e-4
+
+
+def test_count_check_refuses_a_radius_with_no_finite_discrepancy():
+    # The volume of the 1e-200 disk underflows to 0; the 1e-320 interval
+    # has a subnormal length whose reciprocal passes the float range.
+    for k, r in ((2, 1e-200), (1, 1e-320)):
+        with pytest.raises(ValueError, match="no finite discrepancy"):
+            lattice_count_check(k, 1, r)
+    assert lattice_count_check(1, 1, 1e-300) == (1 - 2e-300) / 2e-300
 
 
 def test_count_check_shrinks_with_radius():
