@@ -270,25 +270,28 @@ _HANDLERS = {
 }
 
 
+def _int_arg(text: str, ok, wording: str) -> int:
+    """int(text) if it passes `ok`, else an ArgumentTypeError in `wording`,
+    which argparse prints as it is; text that is no integer is refused so too."""
+    try:
+        value = int(text)
+        if ok(value):
+            return value
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"{wording}, got {text}")
+
+
 def _positive_int(text: str) -> int:
-    value = int(text)
-    if value < 1:
-        raise argparse.ArgumentTypeError(f"must be a positive integer, got {text}")
-    return value
+    return _int_arg(text, lambda v: v >= 1, "must be a positive integer")
 
 
 def _nonnegative_int(text: str) -> int:
-    value = int(text)
-    if value < 0:
-        raise argparse.ArgumentTypeError(f"must be a nonnegative integer, got {text}")
-    return value
+    return _int_arg(text, lambda v: v >= 0, "must be a nonnegative integer")
 
 
 def _seed_u64(text: str) -> int:
-    value = int(text)
-    if not (0 <= value < 1 << 64):
-        raise argparse.ArgumentTypeError(f"seed must fit in 64 bits, got {text}")
-    return value
+    return _int_arg(text, lambda v: 0 <= v < 1 << 64, "seed must fit in 64 bits")
 
 
 @functools.cache

@@ -299,8 +299,9 @@ def _ball_norm_sum(orthant: tuple[np.ndarray, np.ndarray], v: int, k: int, p: in
     return 2 * k * sum(w * _power_sum(y, p) for y, w in zip(roots.tolist(), per_root.tolist()))
 
 
-def _box_side(n: int, k: int, p: int, budget: int, what: str) -> int:
-    """Side t0 = max(1, ceil(R) + 1) of the one box [-t0, t0]^k a query takes.
+def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, float]:
+    """Side t0 = max(1, ceil(R) + 1) of the one box [-t0, t0]^k a query
+    takes, and the continuum radius R it came from.
 
     R is the continuum radius, V_{k,p}(R) = 2^n; any lattice point with
     p-norm <= t0 lies inside the box, so the t0-ball's count is exact. The
@@ -324,14 +325,58 @@ def _box_side(n: int, k: int, p: int, budget: int, what: str) -> int:
       R < 2^46; a slice past that holds over 2^46 entries per side.
     - p = 2 with k = 5..8: no proof. The tests check the pinned budgets,
       and lattice_shell_enumerate refuses a short box at run time.
+
+    The same cubes place the boundary norm v* (the least v whose ball
+    ||x||_p^p <= v holds 2^n lattice points) for every (k, p). Each point
+    of z + [-1/2, 1/2]^k lies within c = k^(1/p) / 2 of z in p-norm, so
+    the ball of radius R + c holds at least 2^n lattice points, and the
+    disjoint cubes of the lattice points of B_p(R - c) lie in B_p(R), so
+    there are at most 2^n of those. Hence v* <= (R + c)^p, and v* is below
+    (R - c)^p only if B_p(R - c) holds exactly 2^n points. Floats round
+    this window, so lattice_shell_enumerate only starts its search there
+    and settles v* by exact counts.
     """
     try:
-        t = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
+        r = radius_for_count(n, k, p)
+        t = max(1, math.ceil(r) + 1)
     except OverflowError:
         reason = f"int64 lattice norms: the radius for n={n}, k={k}, p={p} passes the float range"
         raise BudgetExceededError(reason, None, _INT64_MAX) from None
     _check_box(t, k, p, budget, what)
-    return t
+    return t, r
+
+
+def _boundary_norm(
+    orthant: tuple[np.ndarray, np.ndarray], count: int, p: int, t: int, guess: int, window: tuple[int, int]
+) -> tuple[int, int]:
+    """(v*, ball count at v* - 1), v* the least v with ball count >= count.
+
+    v* = t^p + 1 means the t-ball holds fewer than `count` points; that
+    value is never counted. The search keeps a bracket lo < v* <= hi and
+    counts only strictly inside it: first at `guess` and its neighbour on
+    the side the guess count points to, then at the two `window` ends,
+    then by bisection. Every move of the bracket rests on an exact count,
+    so any guess and window, however wrong, give the same answer; good
+    ones only take fewer counts.
+    """
+    lo, below, hi = -1, 0, t**p + 1
+
+    def probe(v: int) -> None:
+        nonlocal lo, below, hi
+        if lo < v < hi:
+            inside = _ball_count(orthant, v, p, t)
+            if inside >= count:
+                hi = v
+            else:
+                lo, below = v, inside
+
+    probe(guess)
+    probe(guess - 1 if hi == guess else guess + 1)
+    for end in window:
+        probe(end)
+    while hi - lo > 1:
+        probe((lo + hi) // 2)
+    return hi, below
 
 
 def lattice_shell_enumerate(
@@ -339,39 +384,41 @@ def lattice_shell_enumerate(
 ) -> LatticeShellSummary:
     """Select the 2^n points of Z^k closest to the origin in p-norm.
 
-    The boundary norm v* is the least v with ball count >= 2^n, found by
-    integer bisection on [0, t^p]; the points below it are summed in
-    closed form and the ties on the boundary shell contribute
-    (2^n - below) * v*, so no per-point tie-break is needed here (the
-    points path below realizes the deterministic order when identities
-    matter). The budget counts the nominal points of the one box (see
-    _box_side). A box whose t-ball holds fewer than 2^n points raises
-    RuntimeError rather than return a summary of too few points.
+    The boundary norm v* is the least v with ball count >= 2^n. It is
+    searched from the continuum estimate floor(R^p) and its neighbour,
+    then inside the covering window [(R - c)^p, (R + c)^p] (see
+    _box_side), then by bisection of whatever bracket remains; every step
+    is an exact ball count, so the float guesses change only how many
+    counts are taken, never v*. At k = 1 or p = 1 the first two counts
+    settle it. The points below v* are summed in closed form and the ties
+    on the boundary shell contribute (2^n - below) * v*, so no per-point
+    tie-break is needed here (the points path below realizes the
+    deterministic order when identities matter). The budget counts the
+    nominal points of the one box (see _box_side). A box whose t-ball
+    holds fewer than 2^n points raises RuntimeError rather than return a
+    summary of too few points.
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    t = _box_side(n, k, p, budget, "lattice box enumeration")
+    t, r_cont = _box_side(n, k, p, budget, "lattice box enumeration")
     orthant = _orthant_slice(t, k, p, t**p)
     count = 1 << n
-    lo, hi = -1, t**p
-    while hi - lo > 1:
-        mid = (lo + hi) // 2
-        if _ball_count(orthant, mid, p, t) >= count:
-            hi = mid
-        else:
-            lo = mid
-    # The count at t^p was never taken unless the bisection moved hi.
-    if hi == t**p and _ball_count(orthant, hi, p, t) < count:
+    # Where to count first: floor(R^p), then the covering window of
+    # _box_side's docstring. Floats only guide; the counts decide.
+    c = k ** (1.0 / p) / 2.0
+    window = (math.floor((r_cont - c) ** p) if r_cont > c else -1, math.ceil((r_cont + c) ** p))
+    guess = min(max(math.floor(r_cont**p), 0), t**p)
+    vstar, below = _boundary_norm(orthant, count, p, t, guess, window)
+    if vstar > t**p:
         raise RuntimeError(f"box side t={t} holds fewer than 2^n points at n={n}, k={k}, p={p}")
-    vstar = hi
-    below = _ball_count(orthant, vstar - 1, p, t)
     total = _ball_norm_sum(orthant, vstar - 1, k, p, t) + (count - below) * vstar
-    r_cont = radius_for_count(n, k, p)
     if n == 0:
         ratio = None
     else:
         ratio = total / ((k / (k + p)) * count * r_cont**p)
+    # A perfect power's root is exact; vstar ** (1 / p) can round below it.
+    root = int(_iroot(np.array([vstar], dtype=np.int64), p, t)[0])
     return LatticeShellSummary(
         n=n,
         k=k,
@@ -379,7 +426,7 @@ def lattice_shell_enumerate(
         count=count,
         discrete_sum=total,
         boundary_norm_power=vstar,
-        r_discrete=vstar ** (1.0 / p),
+        r_discrete=float(root) if root**p == vstar else vstar ** (1.0 / p),
         r_continuous=r_cont,
         continuum_ratio=ratio,
     )

@@ -118,7 +118,7 @@ def lattice_shell_points(
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     _validate_lattice_args(k, p)
-    t = _box_side(n, k, p, budget, "lattice point enumeration")
+    t, _ = _box_side(n, k, p, budget, "lattice point enumeration")
     cutoff = t**p
     kept = []
     for point in itertools.product(range(-t, t + 1), repeat=k):

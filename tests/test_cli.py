@@ -532,6 +532,25 @@ def test_usage_errors(capsys, good_file):
     assert capsys.readouterr().out == ""
 
 
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["bounds", "--n", "2.5", "--k", "1"], "argument --n: must be a positive integer, got 2.5"),
+        (["lattice-check", "--n", "x", "--k", "1", "--p", "1"], "argument --n: must be a nonnegative integer, got x"),
+        (["moments", "--file", "f", "--p", "1", "--seed", "x"], "argument --seed: seed must fit in 64 bits, got x"),
+    ],
+    ids=["positive_int", "nonnegative_int", "seed_u64"],
+)
+def test_non_integer_text_is_refused_in_the_converters_wording(capsys, argv, message):
+    # argparse would otherwise name the converter function ("invalid
+    # _positive_int value"), which says nothing to the user.
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.splitlines()[-1].endswith(f"error: {message}"), captured.err
+    assert "_int" not in captured.err and "_u64" not in captured.err
+
+
 def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     target = tmp_path / "table.csv"
     code = main(["bounds", "--n", "6", "--k", "1", "--format", "csv", "--out", str(target)])

@@ -231,11 +231,13 @@ def test_points_norm_multiset_ignores_tie_breaking():
 # The 9 (k, p, n_max) cells of the benchmark's shell round, summarised by
 # the box-array core this module used to build (the full box [-t, t]^k,
 # filtered and sorted), as literals: the slice core must reproduce every
-# field, floats included.
+# field, floats included. One field is re-pinned: at (21, 1, 3) r_discrete
+# is now the exact root 2^20 of v* = 2^60, which (2^60) ** (1/3) rounded
+# to 1048575.9999999992.
 PINNED_SHELLS = (
     LatticeShellSummary(n=21, k=1, p=1, count=2097152, discrete_sum=1099511627776, boundary_norm_power=1048576, r_discrete=1048576.0, r_continuous=1048576.0, continuum_ratio=1.0),
     LatticeShellSummary(n=21, k=1, p=2, count=2097152, discrete_sum=768614336404914176, boundary_norm_power=1099511627776, r_discrete=1048576.0, r_continuous=1048576.0, continuum_ratio=1.0000000000004547),
-    LatticeShellSummary(n=21, k=1, p=3, count=2097152, discrete_sum=604462909807864343166976, boundary_norm_power=1152921504606846976, r_discrete=1048575.9999999992, r_continuous=1048576.0, continuum_ratio=1.0000000000009095),
+    LatticeShellSummary(n=21, k=1, p=3, count=2097152, discrete_sum=604462909807864343166976, boundary_norm_power=1152921504606846976, r_discrete=1048576.0, r_continuous=1048576.0, continuum_ratio=1.0000000000009095),
     LatticeShellSummary(n=20, k=2, p=1, count=1048576, discrete_sum=506166500, boundary_norm_power=724, r_discrete=724.0, r_continuous=724.0773439350247, continuum_ratio=0.9999995060995052),
     LatticeShellSummary(n=21, k=2, p=2, count=2097152, discrete_sum=699970851480, boundary_norm_power=667556, r_discrete=817.0410026430742, r_continuous=817.0337902621343, continuum_ratio=1.0000000132716012),
     LatticeShellSummary(n=21, k=2, p=3, count=2097152, discrete_sum=383590746672252, boundary_norm_power=457256000, r_discrete=770.4062622531702, r_continuous=770.4173959020397, continuum_ratio=0.999999954688571),
@@ -303,6 +305,106 @@ def test_covering_bound_settles_the_first_box():
                         continue  # refused by the int64 guard before any count
                     orthant = _orthant_slice(t0, k, p, t0**p)
                     assert _ball_count(orthant, t0**p, p, t0) >= 2**n, (k, p, n, budget)
+
+
+def _default_budget_cells():
+    # Every (n, k, p) with k <= 8, p <= 5 and n <= max_enumerable_n at the
+    # default budget: 656 shells.
+    for k in range(1, 9):
+        for p in range(1, 6):
+            n_max = _outcome(max_enumerable_n, k, p)
+            for n in range(n_max + 1 if isinstance(n_max, int) else 0):
+                yield n, k, p
+
+
+def _bisection_counts(n: int, k: int, p: int) -> int:
+    # Ball counts of the plain search this module used before the guided
+    # one: bisection of (-1, t^p], a count at t^p if the bisection never
+    # took one there, and one more for the count below v*.
+    t = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
+    orthant = _orthant_slice(t, k, p, t**p)
+    lo, hi, taken = -1, t**p, 1
+    while hi - lo > 1:
+        mid = (lo + hi) // 2
+        taken += 1
+        if _ball_count(orthant, mid, p, t) >= 2**n:
+            hi = mid
+        else:
+            lo = mid
+    return taken + (hi == t**p)
+
+
+def test_guided_search_takes_fewer_ball_counts(monkeypatch):
+    taken = [0]
+
+    def counting(*args):
+        taken[0] += 1
+        return _ball_count(*args)
+
+    monkeypatch.setattr(pnorm, "_ball_count", counting)
+    per_cell = {}
+    for n, k, p in _default_budget_cells():
+        taken[0] = 0
+        lattice_shell_enumerate(n, k, p)
+        per_cell[n, k, p] = taken[0]
+    assert len(per_cell) == 656
+    assert sum(per_cell.values()) <= 4200  # plain bisection took 7,578
+    # floor(R^p) is v* itself at k = 1 and p = 1: the benchmark's shell
+    # cells there take one count at v* and one at v* - 1.
+    for k, p in ((1, 1), (1, 2), (1, 3), (2, 1), (3, 1)):
+        assert per_cell[max_enumerable_n(k, p), k, p] == 2, (k, p)
+    for cell, guided in per_cell.items():
+        assert guided <= _bisection_counts(*cell) + 2, cell
+
+
+def test_shell_query_evaluates_the_radius_once(monkeypatch):
+    # _box_side hands its R to the search and the ratio.
+    calls = []
+    monkeypatch.setattr(pnorm, "radius_for_count", lambda *args: calls.append(args) or radius_for_count(*args))
+    lattice_shell_enumerate(10, 2, 2)
+    assert calls == [(10, 2, 2)]
+
+
+@pytest.mark.parametrize("wrong", ["too_low", "too_high", "zero", "top", "swapped"])
+def test_wrong_guesses_give_the_same_shell(monkeypatch, wrong):
+    # The guess and the window only steer which counts are taken: fed
+    # wrong ones, the search still lands on the same v* and the same sum.
+    cells = [(n, k, p) for k in range(1, 5) for p in range(1, 5) for n in range(0, 11, 2)]
+    expected = {cell: lattice_shell_enumerate(*cell) for cell in cells}
+    search = pnorm._boundary_norm
+
+    def misled(orthant, count, p, t, guess, window):
+        top = t**p
+        guess, window = {
+            "too_low": (guess // 3, (window[0] // 3 - 1, window[1] // 3)),
+            "too_high": (min(3 * guess + 7, top), (3 * window[0] + 7, 3 * window[1] + 7)),
+            "zero": (0, (0, 0)),
+            "top": (top, (top, top)),
+            "swapped": (guess, window[::-1]),
+        }[wrong]
+        return search(orthant, count, p, t, guess, window)
+
+    monkeypatch.setattr(pnorm, "_boundary_norm", misled)
+    for cell in cells:
+        got = lattice_shell_enumerate(*cell)
+        assert got.discrete_sum == expected[cell].discrete_sum, cell
+        assert got.boundary_norm_power == expected[cell].boundary_norm_power, cell
+
+
+def test_r_discrete_is_the_exact_root_of_a_perfect_power():
+    # 30 default-budget shells have v* a perfect p-th power whose root
+    # v* ** (1/p) rounds below; r_discrete gives the root itself.
+    perfect = 0
+    for n, k, p in _default_budget_cells():
+        s = lattice_shell_enumerate(n, k, p)
+        root = _root_oracle(s.boundary_norm_power, p, s.boundary_norm_power)
+        if root**p == s.boundary_norm_power:
+            assert s.r_discrete == float(root), (n, k, p)
+            perfect += s.boundary_norm_power ** (1.0 / p) != root
+        else:
+            assert s.r_discrete == s.boundary_norm_power ** (1.0 / p), (n, k, p)
+    assert perfect == 30
+    assert lattice_shell_enumerate(21, 1, 3).r_discrete == 2.0**20
 
 
 def _polynomial_product(a: list, b: list) -> list:
