@@ -46,12 +46,14 @@ def scaled_abs_moment_sum(n: int, p: int) -> ScaledMomentSum:
 
     Direct O(n) evaluation; n is desk-scale here so no recurrence is
     needed. Accepts any positive integer p, not just the orders the
-    bound derivations use.
+    bound derivations use; a p equal to one, such as 2.0, is taken as
+    that int.
     """
     if n < 0:
         raise ValueError(f"n must be nonnegative, got {n}")
-    if p < 1:
+    if not (1 <= p < math.inf and p == int(p)):
         raise ValueError(f"p must be a positive integer, got {p}")
+    p = int(p)
     total = 0
     for i in range(n + 1):
         total += math.comb(n, i) * abs(n - 2 * i) ** p

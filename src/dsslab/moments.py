@@ -6,13 +6,14 @@ eps_i in {-1/2, +1/2}, X = sum eps_i a_i. Internally signs are modeled as
 distributions integral: coordinate j's signed sums are integers in
 [-S_j, S_j] with S_j = sum_i a_ij, held as sorted int64 value and count
 arrays. The DP that builds them grows the values unfolded and sorts
-equal ones together when the support could outgrow its budget, once at
-the end, and in between only once the unfolded values reach a floor of
-2^16 entries and then could outgrow the support's range or have grown
-8-fold since the last sort. Exact moments pair two such distributions,
-one per half of the entries (Horowitz-Sahni), through exact prefix power
-sums, so the full 2^n-entry support of a distinct-sum coordinate is never
-built; the pairing runs in uint64 arrays modulo 2^64 and as many primes
+equal ones together after a step whose unfolded values pass the budget,
+refusing it if the sorted support still does, once at the end, and in
+between only once the unfolded values reach a floor of 2^16 entries and
+then could outgrow the support's range or have grown 8-fold since the
+last sort. Exact moments pair two such distributions, one per half of
+the entries (Horowitz-Sahni), through exact prefix power sums, so the
+full 2^n-entry support of a distinct-sum coordinate is never built; the
+pairing runs in uint64 arrays modulo 2^64 and as many primes
 below 2^32 as 2^n * S_j^p needs, and the Chinese remainder theorem
 recovers its exact sum. The same split into halves (_halves), over the
 signs {-1, 0, +1}, decides distinct subset sums in sequences.
@@ -165,21 +166,24 @@ def signed_sum_distribution(
     keeps int64 arrays of values and counts. Step c replaces them by
     values + s * c for s in signs, side by side and unfolded: equal values
     are not merged yet. They are folded, one sort and a sum of the counts
-    of each run of equal values (_fold), always when the next step would
-    pass the budget, and once at the end. In between, a fold comes only
-    once the next step's unfolded array reaches _FOLD_FLOOR entries, and
-    then when it would pass the pigeonhole bound below or the values have
-    grown _FOLD_GROWTH-fold since the last fold. No output depends on
-    when the folds come: equal values merge and their counts add exactly
-    in any order.
+    of each run of equal values (_fold), always after a step whose
+    unfolded values pass the budget, and once at the end. In between, a
+    fold comes only once the next step's unfolded array reaches
+    _FOLD_FLOOR entries, and then when it would pass the pigeonhole bound
+    below or the values have grown _FOLD_GROWTH-fold since the last fold.
+    No values are folded twice, and no output depends on when the folds
+    come: equal values merge and their counts add exactly in any order.
+    The next support has at most min(2 * len, reach + 1) entries for two
+    signs, which keep every value on one parity, and
+    min(3 * len, 2 * reach + 1) for three, reach being the running sum of
+    the coordinates.
 
-    budget caps the support entries after any one step and is checked
-    after that fold. The next support has at most
-    min(2 * len, reach + 1) entries for two signs, which keep every value
-    on one parity, and min(3 * len, 2 * reach + 1) for three, reach being
-    the running sum of the coordinates; when that bound passes the budget,
-    the exact next size is counted before refusing. No array holds more
-    than len(signs) * budget entries.
+    budget caps the support entries after any one step. It is checked
+    once a step, right after it: values within the budget pass as they
+    are, and otherwise the fold after the step gives the exact support,
+    which is refused if it still passes the budget. So a step starts from
+    at most budget entries, and no array holds more than
+    len(signs) * budget entries.
     Inputs the int64 arrays cannot hold are refused up front: a coordinate
     sum of 2^63 or more, or len(signs)^n counts of 2^63 or more. Every
     refusal raises BudgetExceededError.
@@ -203,21 +207,21 @@ def signed_sum_distribution(
         reach += c
         limit = reach + 1 if width == 2 else 2 * reach + 1
         grown = width * len(values)
-        if grown > budget or grown >= _FOLD_FLOOR and (
+        if len(values) > folded and grown >= _FOLD_FLOOR and (
             grown > limit or len(values) >= _FOLD_GROWTH * folded
         ):
             values, counts = _fold(values, counts)
             folded = len(values)
-            grown = width * folded
-        runs = np.add.outer(shifts, values)
-        if min(grown, limit) > budget:
-            needed = _union_size(runs)
-            if needed > budget:
-                raise BudgetExceededError("signed-sum DP support", needed, budget)
-        values = runs.ravel()
+        values = np.add.outer(shifts, values).ravel()
         if counts is not None:
             counts = np.tile(counts, width)
-    values, counts = _fold(values, counts)
+        if len(values) > budget:
+            values, counts = _fold(values, counts)
+            folded = len(values)
+            if folded > budget:
+                raise BudgetExceededError("signed-sum DP support", folded, budget)
+    if len(values) > folded:
+        values, counts = _fold(values, counts)
     if counts is None:
         counts = np.ones(len(values), dtype=np.int64)
     return SignedSumDistribution(values=values, counts=counts)
@@ -246,22 +250,6 @@ def _fold(
             return values, None  # nothing merged: the counts are still all ones
         return values[starts], edges[1:] - starts
     return values[starts], np.add.reduceat(counts, starts)
-
-
-def _union_size(runs: np.ndarray) -> int:
-    """Distinct entries over the rows of runs, sorted runs of distinct values, unmerged.
-
-    Each run counts the entries that no earlier run holds; a searchsorted
-    probe tells whether an earlier run holds a value.
-    """
-    size = 0
-    for i, run in enumerate(runs):
-        fresh = np.ones(len(run), dtype=bool)
-        for earlier in runs[:i]:
-            hit = np.minimum(np.searchsorted(earlier, run), len(earlier) - 1)
-            fresh &= earlier[hit] != run
-        size += int(np.count_nonzero(fresh))
-    return size
 
 
 def _halves(
@@ -364,8 +352,9 @@ class MomentValue:
     """E[||X||_p^p] with provenance.
 
     Exact paths (exact_dp, closed_form) carry a Fraction value and no
-    stderr; the monte_carlo path carries a float value, a positive stderr
-    (None when samples == 1, where it is undefined), and the sample count.
+    stderr; the monte_carlo path carries a float value, a nonnegative
+    stderr (0.0 when every sample is equal, None when samples == 1, where
+    it is undefined), and the sample count.
     """
 
     p: int | float
@@ -388,6 +377,7 @@ def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET
     """
     if p not in (1, 2, 3):
         raise ValueError(f"exact path supports p in {{1, 2, 3}}, got {p}")
+    p = int(p)
     power_sum = sum(
         _paired_power_sum(*_halves([vec[j] for vec in seq.vectors], budget, (-1, 1)), p)
         for j in range(seq.k)
@@ -411,6 +401,7 @@ def extremal_moment(n: int, k: int, bound: int, p: int) -> MomentValue:
         s = closed_form_s3(n)
     else:
         raise ValueError(f"closed forms exist for p in {{1, 3}}, got {p}")
+    p = int(p)
     value = Fraction(k) * bound**p * s / (1 << n)
     return MomentValue(p=p, value=value, provenance="closed_form", stderr=None, samples=None)
 

@@ -182,11 +182,13 @@ class LatticeShellSummary:
     continuum_ratio: float | None
 
 
-def _validate_lattice_args(k: int, p: int) -> None:
+def _validate_lattice_args(k: int, p: int) -> int:
+    """p as an int, once k and p are checked: 2.0 is taken as 2."""
     if not (1 <= k <= 8):
         raise ValueError(f"lattice enumeration supports 1 <= k <= 8, got {k}")
-    if p < 1 or p != int(p):
+    if not (1 <= p < math.inf and p == int(p)):
         raise ValueError(f"norm exponent must be a positive integer, got {p}")
+    return int(p)
 
 
 def _check_box(t: int, k: int, p: int, budget: int, what: str) -> None:
@@ -400,7 +402,7 @@ def lattice_shell_enumerate(
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
-    _validate_lattice_args(k, p)
+    p = _validate_lattice_args(k, p)
     t, r_cont = _box_side(n, k, p, budget, "lattice box enumeration")
     orthant = _orthant_slice(t, k, p, t**p)
     count = 1 << n
@@ -439,7 +441,7 @@ def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUD
     radius whose volume underflows to 0, or whose discrepancy passes the
     float range, raises ValueError.
     """
-    _validate_lattice_args(k, p)
+    p = _validate_lattice_args(k, p)
     if not 0 < r < math.inf:
         raise ValueError(f"radius must be finite and positive, got {r}")
     t = math.floor(r)
@@ -464,7 +466,7 @@ def max_enumerable_n(k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET) -> int:
     ball counted. When not even n = 0 fits, raises the
     BudgetExceededError that lattice_shell_enumerate(0, k, p) raises.
     """
-    _validate_lattice_args(k, p)
+    p = _validate_lattice_args(k, p)
     n = 0
     while True:
         try:

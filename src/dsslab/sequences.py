@@ -108,14 +108,33 @@ class VectorSequence:
 
     @classmethod
     def from_text(cls, text: str) -> "VectorSequence":
-        rows = [line.split() for line in text.splitlines() if line.strip()]
-        if not rows or len(rows[0]) != 3:
+        """Parse the sequence file format; blank lines are skipped.
+
+        A token that is not an integer raises ValueError naming it and its
+        line, counted as in the file, blank lines included.
+        """
+        rows = [
+            (number, line.split())
+            for number, line in enumerate(text.splitlines(), start=1)
+            if line.strip()
+        ]
+        if not rows or len(rows[0][1]) != 3:
             raise ValueError("first line must be `n k M`")
-        n, k, bound = (int(x) for x in rows[0])
-        vectors = tuple(tuple(int(x) for x in row) for row in rows[1:])
+        (n, k, bound), *vectors = (_integers(number, tokens) for number, tokens in rows)
         if len(vectors) != n:
             raise ValueError(f"expected {n} vector lines, found {len(vectors)}")
-        return cls(n=n, k=k, bound=bound, vectors=vectors)
+        return cls(n=n, k=k, bound=bound, vectors=tuple(vectors))
+
+
+def _integers(number: int, tokens: list[str]) -> tuple[int, ...]:
+    """The tokens of line `number` as ints, or a ValueError naming the first that is not one."""
+    row = []
+    for token in tokens:
+        try:
+            row.append(int(token))
+        except ValueError:
+            raise ValueError(f"line {number}: {token!r} is not an integer") from None
+    return tuple(row)
 
 
 @dataclass(frozen=True)

@@ -9,6 +9,7 @@ deadline, so every run draws the same examples; tests set only their
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 
@@ -105,6 +106,13 @@ def conway_guy(n: int) -> VectorSequence:
     return VectorSequence(n, 1, max(values, default=0), tuple((v,) for v in values))
 
 
+def typed_fields(result) -> list[tuple[type, object]]:
+    """result's fields, or result itself, each beside its type: equal lists
+    mean equal results of the same types, so an int is not a float."""
+    fields = dataclasses.astuple(result) if dataclasses.is_dataclass(result) else (result,)
+    return [(type(field), field) for field in fields]
+
+
 def lattice_shell_points(
     n: int, k: int, p: int, budget: int = DEFAULT_ENUM_BUDGET
 ) -> list[tuple[tuple[int, ...], int]]:
@@ -117,7 +125,7 @@ def lattice_shell_points(
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
-    _validate_lattice_args(k, p)
+    p = _validate_lattice_args(k, p)
     t, _ = _box_side(n, k, p, budget, "lattice point enumeration")
     cutoff = t**p
     kept = []

@@ -275,6 +275,24 @@ def test_verify_rejects_extra_vector_lines(tmp_path, capsys):
     assert "expected 2 vector lines, found 3" in captured.err
 
 
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("3 1 4.0\n1\n2\n4\n", "line 1: '4.0' is not an integer"),
+        ("3 1 4\n\n1\n2.0\n4\n", "line 4: '2.0' is not an integer"),
+    ],
+    ids=["header", "vector"],
+)
+def test_sequence_file_names_the_line_of_a_non_integer(tmp_path, capsys, text, message):
+    # The line is the file's own, blank lines counted.
+    path = tmp_path / "float.seq"
+    path.write_text(text)
+    assert main(["verify", "--file", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {message}\n"
+
+
 def test_verify_text_verdict(good_file):
     res = run(build_config(["verify", "--file", good_file]))
     assert "pass" in res.stdout

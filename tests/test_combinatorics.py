@@ -7,6 +7,7 @@ from fractions import Fraction
 
 import pytest
 
+from conftest import typed_fields
 from dsslab import (
     ScaledMomentSum,
     closed_form_s1,
@@ -48,6 +49,16 @@ def test_scaled_abs_moment_sum_term_symmetry():
                 left = math.comb(n, i) * abs(n - 2 * i) ** p
                 right = math.comb(n, n - i) * abs(n - 2 * (n - i)) ** p
                 assert left == right
+
+
+def test_integral_float_p_is_taken_as_int():
+    for p in (2, 3):
+        assert typed_fields(scaled_abs_moment_sum(5, float(p))) == typed_fields(
+            scaled_abs_moment_sum(5, p)
+        )
+    for bad in (2.5, 0, math.inf):
+        with pytest.raises(ValueError, match="positive integer"):
+            scaled_abs_moment_sum(5, bad)
 
 
 def test_scaled_property():

@@ -8,6 +8,7 @@ import time
 import tracemalloc
 from collections import Counter
 from fractions import Fraction
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from conftest import (
     gray_first_collision_by_dict,
     mc_estimate_by_matmul,
     random_sequence,
+    typed_fields,
 )
 from dsslab import (
     BudgetExceededError,
@@ -207,9 +209,10 @@ def test_exact_moment_conway_guy_beyond_full_support():
     )
 )
 def test_distribution_under_budget_matches_prefix_oracle(case):
-    # The DP folds only when a step could pass the budget; either it
-    # returns the whole support, or it refuses at the first prefix whose
-    # support passes the budget, naming that support's exact size.
+    # The DP checks the budget after every step; either it returns the
+    # whole support, or it refuses at the first prefix whose support
+    # passes the budget, naming that support's exact size. No array it
+    # folds holds more than len(signs) * budget entries.
     signs, coords, budget = case
     sizes = [
         len({sum(e * c for e, c in zip(eps, coords)) for eps in itertools.product(signs, repeat=i)})
@@ -217,18 +220,20 @@ def test_distribution_under_budget_matches_prefix_oracle(case):
     ]
     assert sizes == sorted(sizes)  # prefix supports never shrink
     over = [size for size in sizes if size > budget]
-    if over:
-        with pytest.raises(BudgetExceededError) as err:
-            signed_sum_distribution(coords, budget=budget, signs=signs)
-        assert (err.value.needed, err.value.budget) == (over[0], budget)
-    else:
-        sums = Counter(
-            sum(e * c for e, c in zip(eps, coords))
-            for eps in itertools.product(signs, repeat=len(coords))
-        )
-        dist = signed_sum_distribution(coords, budget=budget, signs=signs)
-        assert dist.support == sums
-        assert dist.total() == len(signs) ** len(coords)
+    with mock.patch.object(moments, "_fold", wraps=moments._fold) as fold:
+        if over:
+            with pytest.raises(BudgetExceededError) as err:
+                signed_sum_distribution(coords, budget=budget, signs=signs)
+            assert (err.value.needed, err.value.budget) == (over[0], budget)
+        else:
+            sums = Counter(
+                sum(e * c for e, c in zip(eps, coords))
+                for eps in itertools.product(signs, repeat=len(coords))
+            )
+            dist = signed_sum_distribution(coords, budget=budget, signs=signs)
+            assert dist.support == sums
+            assert dist.total() == len(signs) ** len(coords)
+    assert max((len(call.args[0]) for call in fold.call_args_list), default=0) <= len(signs) * budget
 
 
 def test_distribution_of_equal_coordinates_is_binomial():
@@ -330,14 +335,29 @@ def test_repeating_wide_support_folds_at_the_floor():
 def test_fold_schedule_around_the_floor(monkeypatch):
     # Powers of 3 give 3^n distinct three-sign sums, all of [-S, S], so only
     # the floor and the final fold apply: 10 entries (the n = 20 verifier's
-    # halves) fold once, 11 fold at 3^10 and again at the end.
+    # halves) fold once, 11 fold at 3^10 and again at the end. A step whose
+    # unfolded values pass the budget folds them once, right after it, and
+    # that fold's support is refused or kept: nothing is folded before the
+    # step, and the values it leaves are not folded again at the end.
     real, folds = moments._fold, []
     monkeypatch.setattr(moments, "_fold", lambda v, c: folds.append(len(v)) or real(v, c))
-    for n, want in ((10, [3**10]), (11, [3**10, 3**11])):
+    two, three, default = (-1, 1), (-1, 0, 1), moments.DEFAULT_TABLE_BUDGET
+    cases = (  # coords, signs, budget, the folds' input sizes, the support
+        ([3**i for i in range(10)], three, default, [3**10], 3**10),
+        ([3**i for i in range(11)], three, default, [3**10, 3**11], 3**11),
+        ((1, 2, 4), two, 4, [8], 8),
+        ((16, 32, 16, 16), two, 6, [8, 10], 6),
+        ((16, 32), three, 7, [9], 7),
+    )
+    for coords, signs, budget, want, size in cases:
         folds.clear()
-        dist = signed_sum_distribution([3**i for i in range(n)], signs=(-1, 0, 1))
-        assert len(dist.values) == 3**n
-        assert folds == want, n
+        if size > budget:
+            with pytest.raises(BudgetExceededError) as err:
+                signed_sum_distribution(coords, budget=budget, signs=signs)
+            assert (err.value.needed, err.value.budget) == (size, budget)
+        else:
+            assert len(signed_sum_distribution(coords, budget=budget, signs=signs).values) == size
+        assert folds == want, coords
 
 
 def test_zero_entries_fold_fast():
@@ -486,6 +506,18 @@ def test_exact_moment_validation():
     for bad in (0, 4):
         with pytest.raises(ValueError):
             exact_moment(seq, bad)
+
+
+def test_integral_float_p_is_taken_as_int():
+    # p = 2.0 or 3.0 gives the int call's exact result; 2.5 is refused.
+    seq = VectorSequence(3, 2, 4, ((1, 3), (2, 0), (4, 4)))
+    for p in (2, 3):
+        assert typed_fields(exact_moment(seq, float(p))) == typed_fields(exact_moment(seq, p))
+    assert typed_fields(extremal_moment(4, 2, 3, 3.0)) == typed_fields(extremal_moment(4, 2, 3, 3))
+    with pytest.raises(ValueError):
+        exact_moment(seq, 2.5)
+    with pytest.raises(ValueError):
+        extremal_moment(4, 2, 3, 2.5)
 
 
 def test_extremal_matches_exact_on_all_max_sequences():

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import lattice_shell_points
+from conftest import lattice_shell_points, typed_fields
 from dsslab import (
     BudgetExceededError,
     LatticeShellSummary,
@@ -613,6 +613,20 @@ def test_lattice_args_validated():
         lattice_shell_enumerate(-1, 2, 1)
     with pytest.raises(ValueError):
         lattice_shell_enumerate(4, 2, 0)
+
+
+def test_integral_float_p_is_taken_as_int():
+    # All three lattice entry points take p = 2.0 as the int 2 and refuse 2.5.
+    calls = (
+        lambda p: lattice_shell_enumerate(10, 2, p),
+        lambda p: lattice_count_check(2, p, 20.0),
+        lambda p: max_enumerable_n(2, p),
+    )
+    for call in calls:
+        for p in (2, 3):
+            assert typed_fields(call(float(p))) == typed_fields(call(p)), p
+        with pytest.raises(ValueError, match="positive integer"):
+            call(2.5)
 
 
 def test_count_check_examples():

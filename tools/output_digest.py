@@ -1,0 +1,133 @@
+"""Digest of dsslab's library outputs, for checking that a change keeps them byte-identical.
+
+Usage: python tools/output_digest.py TREE
+
+Imports dsslab from TREE/src and prints `<records> <sha256>`: the number
+of records and one hash over all of them. A record is the repr of one
+seeded call's result, or of its refusal as (what, needed, budget). Arrays
+enter by their length and the hash of their int64 bytes. The calls:
+
+- signed_sum_distribution with both sign sets, at budgets 1..64 and
+  2^8, 2^12, 2^16, 2^20 and 2^22 (the default), including inputs the
+  default budget refuses;
+- verify_distinct for n <= 22, on sequences that collide and that do not;
+- exact_moment for p = 1, 2, 3, at the default budget and at small ones;
+- lattice_shell_enumerate for k <= 8, p <= 5 and every n up to one past
+  max_enumerable_n, at budgets 2^22 and 2^16;
+- lower_bound on a grid of (n, k, method).
+
+Two trees print the same line exactly when every record matches. Uses
+the standard library and numpy only; a run takes well under a minute.
+"""
+
+from __future__ import annotations
+
+import dataclasses
+import hashlib
+import sys
+from pathlib import Path
+
+import numpy as np
+
+
+def _records(dsslab):
+    """Yield one (label, result) pair per call, a refusal standing in for its result."""
+    from dsslab import BudgetExceededError, VectorSequence
+
+    def call(label, fn, *args, **kwargs):
+        try:
+            return label, fn(*args, **kwargs)
+        except BudgetExceededError as err:
+            return label, ("refused", err.what, err.needed, err.budget)
+        except ValueError as err:
+            return label, ("ValueError", str(err))
+
+    def sequence(rng, n, k, bound):
+        vectors = tuple(tuple(int(c) for c in row) for row in rng.integers(0, bound + 1, size=(n, k)))
+        return VectorSequence(n, k, bound, vectors)
+
+    rng = np.random.default_rng(2300)
+    for signs in ((-1, 1), (-1, 0, 1)):
+        for trial in range(1500):
+            n = int(rng.integers(0, 11 if len(signs) == 2 else 8))
+            coords = [int(c) for c in rng.integers(0, (8, 10**6)[trial % 2] + 1, size=n)]
+            budget = int(rng.integers(1, 65))
+            yield call(("dist", signs, coords, budget), dsslab.signed_sum_distribution,
+                       coords, budget=budget, signs=signs)
+        # Wide, repeating and zero-heavy entries, and powers of 3, from well
+        # below to past the default budget.
+        for budget in (1 << 8, 1 << 12, 1 << 16, 1 << 20, 1 << 22):
+            for n, hi in ((20, 10**6), (18, 100), (13, 10**7), (22, 3), (40, 1)):
+                size = n if len(signs) == 2 else n * 2 // 3
+                coords = [int(c) for c in rng.integers(0, hi + 1, size=size)]
+                yield call(("dist", signs, coords, budget), dsslab.signed_sum_distribution,
+                           coords, budget=budget, signs=signs)
+            for n in (10, 11, 12, 14):
+                yield call(("dist", signs, "powers of 3", n, budget), dsslab.signed_sum_distribution,
+                           [3**i for i in range(n)], budget=budget, signs=signs)
+    yield call(("dist", "powers of two"), dsslab.signed_sum_distribution, [1 << i for i in range(23)])
+    generic = [int(c) for c in rng.integers(0, 1 << 40, size=14)]
+    yield call(("dist", "generic half", generic), dsslab.signed_sum_distribution,
+               generic, signs=(-1, 0, 1))
+
+    # The widest bound keeps the packed radix below 2^63, so the pair count
+    # decides rather than a walk over all 2^n subset sums.
+    for n in range(1, 23):
+        for k in (1, 2, 3):
+            for bound in (3, 1 << (n // k + 2), int(2 ** (62 / k)) // n):
+                for _ in range(2):
+                    seq = sequence(rng, n, k, bound)
+                    yield call(("verify", seq), dsslab.verify_distinct, seq)
+
+    for trial in range(300):
+        n, k = int(rng.integers(0, 27)), int(rng.integers(1, 4))
+        seq = sequence(rng, n, k, (4, 1000, 10**12)[trial % 3])
+        for p in (1, 2, 3):
+            yield call(("moment", seq, p), dsslab.exact_moment, seq, p)
+            yield call(("moment", seq, p, 100), dsslab.exact_moment, seq, p, budget=100)
+
+    for budget in (1 << 22, 1 << 16):
+        for k in range(1, 9):
+            for p in range(1, 6):
+                label, top = call(("max n", k, p, budget), dsslab.max_enumerable_n, k, p, budget)
+                yield label, top
+                for n in range(top + 2 if isinstance(top, int) else 1):
+                    yield call(("shell", n, k, p, budget), dsslab.lattice_shell_enumerate,
+                               n, k, p, budget=budget)
+
+    for method in dsslab.METHOD_TOKENS:
+        for k in range(1, 9):
+            for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 500, 1023, 1024, 4096, 9000):
+                yield call(("bound", n, k, method), dsslab.lower_bound, n, k, method)
+
+
+def _encode(value) -> str:
+    """A repr of value in which each numpy array stands as its length and a hash of its bytes."""
+    if isinstance(value, np.ndarray):
+        data = np.ascontiguousarray(value, dtype="<i8").tobytes()
+        return f"array({len(value)}, {hashlib.sha256(data).hexdigest()})"
+    if dataclasses.is_dataclass(value):
+        fields = ", ".join(f"{f.name}={_encode(getattr(value, f.name))}" for f in dataclasses.fields(value))
+        return f"{type(value).__name__}({fields})"
+    if isinstance(value, tuple):
+        return "(" + ", ".join(map(_encode, value)) + ")"
+    return repr(value)
+
+
+def main(argv: list[str]) -> int:
+    if len(argv) != 2:
+        print(__doc__.splitlines()[2], file=sys.stderr)
+        return 2
+    sys.path.insert(0, str(Path(argv[1]).resolve() / "src"))
+    import dsslab
+
+    digest, records = hashlib.sha256(), 0
+    for label, result in _records(dsslab):
+        digest.update(f"{_encode(label)} -> {_encode(result)}\n".encode())
+        records += 1
+    print(records, digest.hexdigest())
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv))
