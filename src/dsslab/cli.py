@@ -221,11 +221,8 @@ def _cmd_search(config: RunConfig) -> CommandResult:
 def _cmd_moments(config: RunConfig) -> CommandResult:
     seq = _load_sequence(config.file)
     if config.samples is None:
-        p = config.p
-        if not float(p).is_integer():
-            raise ValueError(f"exact moments need integer p in {{1,2,3}}, got {p}")
         budget = config.budget if config.budget is not None else _moments.DEFAULT_TABLE_BUDGET
-        value = _moments.exact_moment(seq, int(p), budget=budget)
+        value = _moments.exact_moment(seq, config.p, budget=budget)
     else:
         value = _moments.mc_estimate(seq, config.p, config.samples, config.seed)
     columns = ("p", "value", "stderr", "samples", "provenance")

@@ -11,11 +11,15 @@ The quotient of the two (`continuum_ratio`) measures how well the
 continuum approximation does at finite n; it is exactly 1 in the k = p = 1
 case and approaches 1 elsewhere.
 
-The shell is never built point by point. The first k - 1 coordinates run
+The shell is never built point by point. At p = 1 the ball is the
+cross-polytope, whose lattice counts are its Ehrhart polynomial
+L_k(s) = sum_i 2^i C(k, i) C(s, i) (Beck and Robins, Computing the
+Continuous Discretely, ch. 2); the counts and the norm sums are Python
+ints and nothing is built. For p >= 2 the first k - 1 coordinates run
 over the orthant [0, t]^(k-1), each point weighted by its sign images,
 and the last coordinate is settled in closed form: an exact integer p-th
 root counts the ball, and Faulhaber's formula sums its norms. Memory is
-O((t + 1)^(k-1)) per query, while the budget still counts the nominal
+O((t + 1)^(k-1)) per query. Either way the budget counts the nominal
 points of the box [-t, t]^k, so every limit is that of a full box.
 """
 
@@ -23,6 +27,7 @@ from __future__ import annotations
 
 import functools
 import math
+from collections.abc import Callable
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -156,7 +161,15 @@ def radius_for_count(n: int, k: int, p: int) -> float:
         raise ValueError(f"dimension must be >= 1, got {k}")
     if p < 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
-    return 2.0 ** (n / k) * gamma_root(1.0 + k / p, k) / (2.0 * gamma_fn(1.0 + 1.0 / p))
+    root, denominator = _radius_gammas(k, p)
+    return 2.0 ** (n / k) * root / denominator
+
+
+@functools.cache
+def _radius_gammas(k: int, p: int) -> tuple[float, float]:
+    """Gamma(1 + k/p)^(1/k) and 2 Gamma(1 + 1/p), the factors of R that
+    do not depend on n."""
+    return gamma_root(1.0 + k / p, k), 2.0 * gamma_fn(1.0 + 1.0 / p)
 
 
 @dataclass(frozen=True)
@@ -301,6 +314,47 @@ def _ball_norm_sum(orthant: tuple[np.ndarray, np.ndarray], v: int, k: int, p: in
     return 2 * k * sum(w * _power_sum(y, p) for y, w in zip(roots.tolist(), per_root.tolist()))
 
 
+def _cross_polytope_count(k: int, v: int) -> int:
+    """L_k(v) = #{x in Z^k : ||x||_1 <= v} = sum_i 2^i C(k, i) C(v, i).
+
+    A point with i nonzero coordinates is a sign pattern (2^i), a support
+    (C(k, i)) and a composition of at most v into i positive parts
+    (C(v, i)). 0 for v < 0.
+    """
+    if v < 0:
+        return 0
+    return sum(2**i * math.comb(k, i) * math.comb(v, i) for i in range(k + 1))
+
+
+def _cross_polytope_norm_sum(k: int, v: int) -> int:
+    """Exact sum of ||x||_1 over x in Z^k with ||x||_1 <= v.
+
+    The points of norm j with i nonzero coordinates number
+    2^i C(k, i) C(j - 1, i - 1), and j C(j - 1, i - 1) = i C(j, i), so the
+    hockey stick over j <= v gives sum_(i >= 1) i 2^i C(k, i) C(v + 1, i + 1),
+    for every v >= -1.
+    """
+    return sum(i * 2**i * math.comb(k, i) * math.comb(v + 1, i + 1) for i in range(1, k + 1))
+
+
+def _slice_ball(t: int, k: int, p: int, cutoff: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """(count, norm sum) of the points of [-t, t]^k with norm^p <= v, as
+    functions of v <= cutoff, on one orthant slice: the route for any p."""
+    orthant = _orthant_slice(t, k, p, cutoff)
+    return (lambda v: _ball_count(orthant, v, p, t)), (lambda v: _ball_norm_sum(orthant, v, k, p, t))
+
+
+def _ball(t: int, k: int, p: int, cutoff: int) -> tuple[Callable[[int], int], Callable[[int], int]]:
+    """_slice_ball's pair, by the cross-polytope's closed forms at p = 1.
+
+    Those count all of Z^k, which is the box's count: every v a query
+    passes is at most t, and [-t, t]^k holds the l1 ball of radius t.
+    """
+    if p == 1:
+        return functools.partial(_cross_polytope_count, k), functools.partial(_cross_polytope_norm_sum, k)
+    return _slice_ball(t, k, p, cutoff)
+
+
 def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, float]:
     """Side t0 = max(1, ceil(R) + 1) of the one box [-t0, t0]^k a query
     takes, and the continuum radius R it came from.
@@ -320,11 +374,11 @@ def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, floa
     - k = 2^p, that is (4, 2) and (8, 3): the same covering with
       k^(1/p) / 2 = 1, which needs t0 >= R + 1, so ceil(R_float) >= R; the
       tests check that with mpmath for every n the int64 guard admits.
-    - p = 1: the ball counts L_k(t) = sum_i 2^i C(k, i) C(t, i) have
+    - p = 1: the ball counts L_k(t) (_cross_polytope_count) have
       positive coefficients in t (the tests check k <= 8 exactly), and the
       leading one is 2^k / k!, so L_k(t) >= vol B_1(t) >= 2^n for t >= R.
       R's relative rounding error stays below 2^-47, so t0 > R while
-      R < 2^46; a slice past that holds over 2^46 entries per side.
+      R < 2^46; past that, lattice_shell_enumerate refuses a short box.
     - p = 2 with k = 5..8: no proof. The tests check the pinned budgets,
       and lattice_shell_enumerate refuses a short box at run time.
 
@@ -349,24 +403,24 @@ def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, floa
 
 
 def _boundary_norm(
-    orthant: tuple[np.ndarray, np.ndarray], count: int, p: int, t: int, guess: int, window: tuple[int, int]
+    ball_count: Callable[[int], int], count: int, top: int, guess: int, window: tuple[int, int]
 ) -> tuple[int, int]:
-    """(v*, ball count at v* - 1), v* the least v with ball count >= count.
+    """(v*, ball_count(v* - 1)), v* the least v with ball_count(v) >= count.
 
-    v* = t^p + 1 means the t-ball holds fewer than `count` points; that
-    value is never counted. The search keeps a bracket lo < v* <= hi and
-    counts only strictly inside it: first at `guess` and its neighbour on
-    the side the guess count points to, then at the two `window` ends,
-    then by bisection. Every move of the bracket rests on an exact count,
+    v* = top + 1 means the ball of norm^p <= top holds fewer than `count`
+    points; that value is never counted. The search keeps a bracket
+    lo < v* <= hi and counts only strictly inside it: first at `guess` and
+    its neighbour on the side the guess count points to, then at the two
+    `window` ends, then by bisection. Every move of the bracket rests on an exact count,
     so any guess and window, however wrong, give the same answer; good
     ones only take fewer counts.
     """
-    lo, below, hi = -1, 0, t**p + 1
+    lo, below, hi = -1, 0, top + 1
 
     def probe(v: int) -> None:
         nonlocal lo, below, hi
         if lo < v < hi:
-            inside = _ball_count(orthant, v, p, t)
+            inside = ball_count(v)
             if inside >= count:
                 hi = v
             else:
@@ -404,17 +458,17 @@ def lattice_shell_enumerate(
         raise ValueError(f"count exponent must be nonnegative, got {n}")
     p = _validate_lattice_args(k, p)
     t, r_cont = _box_side(n, k, p, budget, "lattice box enumeration")
-    orthant = _orthant_slice(t, k, p, t**p)
+    ball_count, norm_sum = _ball(t, k, p, t**p)
     count = 1 << n
     # Where to count first: floor(R^p), then the covering window of
     # _box_side's docstring. Floats only guide; the counts decide.
     c = k ** (1.0 / p) / 2.0
     window = (math.floor((r_cont - c) ** p) if r_cont > c else -1, math.ceil((r_cont + c) ** p))
     guess = min(max(math.floor(r_cont**p), 0), t**p)
-    vstar, below = _boundary_norm(orthant, count, p, t, guess, window)
+    vstar, below = _boundary_norm(ball_count, count, t**p, guess, window)
     if vstar > t**p:
         raise RuntimeError(f"box side t={t} holds fewer than 2^n points at n={n}, k={k}, p={p}")
-    total = _ball_norm_sum(orthant, vstar - 1, k, p, t) + (count - below) * vstar
+    total = norm_sum(vstar - 1) + (count - below) * vstar
     if n == 0:
         ratio = None
     else:
@@ -449,7 +503,7 @@ def lattice_count_check(k: int, p: int, r: float, budget: int = DEFAULT_ENUM_BUD
     # Norms are integers, so the exact floor of r^p is the cutoff. Every
     # point of the r-ball lies in [-t, t]^k, whose norms stop at k * t^p.
     cutoff = min(math.floor(Fraction(r) ** p), k * t**p)
-    count = _ball_count(_orthant_slice(t, k, p, cutoff), cutoff, p, t)
+    count = _ball(t, k, p, cutoff)[0](cutoff)
     vol = ball_volume(k, p, r)
     discrepancy = abs(count - vol) / vol if vol else math.inf
     if not math.isfinite(discrepancy):

@@ -498,8 +498,23 @@ def test_json_refuses_non_finite_floats():
         _emit(RunConfig("moments", fmt="json"), ("value",), [], {"value": math.inf})
 
 
-def test_moments_exact_rejects_fractional_p(good_file):
+def test_moments_exact_rejects_fractional_p(good_file, capsys):
+    # exact_moment's own rule and message: the CLI keeps no copy of it.
     assert main(["moments", "--file", good_file, "--p", "2.5"]) == 2
+    with pytest.raises(ValueError) as info:
+        exact_moment(VectorSequence.from_text(GOOD), 2.5)
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == f"error: {info.value}\n"
+
+
+def test_moments_exact_takes_an_integral_float_p(good_file, capsys):
+    for fmt in ("text", "csv", "json"):
+        outputs = []
+        for p in ("2", "2.0"):
+            assert main(["moments", "--file", good_file, "--p", p, "--format", fmt]) == 0
+            outputs.append(capsys.readouterr().out)
+        assert outputs[0] == outputs[1], fmt
 
 
 @pytest.mark.parametrize("p", ["inf", "1e400", "nan"])

@@ -24,7 +24,16 @@ from dsslab import (
     pnorm,
     radius_for_count,
 )
-from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _ball_count, _ball_norm_sum, _iroot, _orthant_slice, _power_sum
+from dsslab.pnorm import (
+    DEFAULT_ENUM_BUDGET,
+    _ball_count,
+    _ball_norm_sum,
+    _cross_polytope_count,
+    _cross_polytope_norm_sum,
+    _iroot,
+    _orthant_slice,
+    _power_sum,
+)
 
 mpmath = pytest.importorskip("mpmath")
 
@@ -114,6 +123,33 @@ def test_radius_for_count_examples():
     # gamma_root(x, 1) to equal gamma_fn(x) bit for bit.
     for p in range(1, 30):
         assert radius_for_count(5, 1, p) == 16.0, p
+
+
+def test_radius_for_count_equals_the_direct_formula():
+    # The cached gamma factors leave R the same three float operations.
+    for n, k, p in itertools.product(range(65), range(1, 13), range(1, 6)):
+        direct = 2.0 ** (n / k) * gamma_root(1.0 + k / p, k) / (2.0 * gamma_fn(1.0 + 1.0 / p))
+        assert radius_for_count(n, k, p) == direct, (n, k, p)
+
+
+def test_max_enumerable_n_evaluates_the_gammas_once(monkeypatch):
+    calls = []
+
+    def counted(fn):
+        def wrapper(*args):
+            calls.append(fn.__name__)
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(pnorm, "gamma_fn", counted(gamma_fn))
+    monkeypatch.setattr(pnorm, "gamma_root", counted(gamma_root))
+    for k, p in itertools.product(range(1, 8), range(1, 6)):
+        pnorm._radius_gammas.cache_clear()
+        calls.clear()
+        assert max_enumerable_n(k, p) > 0
+        # One gamma_root, which takes its gamma_fn, and one gamma_fn.
+        assert calls == ["gamma_root", "gamma_fn", "gamma_fn"], (k, p)
 
 
 def test_radius_round_trips_through_volume():
@@ -335,13 +371,19 @@ def _bisection_counts(n: int, k: int, p: int) -> int:
 
 
 def test_guided_search_takes_fewer_ball_counts(monkeypatch):
+    # Counts the probes of the shared search, whichever route (closed form
+    # at p = 1, slice above) answers them.
     taken = [0]
+    search = pnorm._boundary_norm
 
-    def counting(*args):
-        taken[0] += 1
-        return _ball_count(*args)
+    def counting(ball_count, *args):
+        def counted(v):
+            taken[0] += 1
+            return ball_count(v)
 
-    monkeypatch.setattr(pnorm, "_ball_count", counting)
+        return search(counted, *args)
+
+    monkeypatch.setattr(pnorm, "_boundary_norm", counting)
     per_cell = {}
     for n, k, p in _default_budget_cells():
         taken[0] = 0
@@ -373,8 +415,7 @@ def test_wrong_guesses_give_the_same_shell(monkeypatch, wrong):
     expected = {cell: lattice_shell_enumerate(*cell) for cell in cells}
     search = pnorm._boundary_norm
 
-    def misled(orthant, count, p, t, guess, window):
-        top = t**p
+    def misled(ball_count, count, top, guess, window):
         guess, window = {
             "too_low": (guess // 3, (window[0] // 3 - 1, window[1] // 3)),
             "too_high": (min(3 * guess + 7, top), (3 * window[0] + 7, 3 * window[1] + 7)),
@@ -382,7 +423,7 @@ def test_wrong_guesses_give_the_same_shell(monkeypatch, wrong):
             "top": (top, (top, top)),
             "swapped": (guess, window[::-1]),
         }[wrong]
-        return search(orthant, count, p, t, guess, window)
+        return search(ball_count, count, top, guess, window)
 
     monkeypatch.setattr(pnorm, "_boundary_norm", misled)
     for cell in cells:
@@ -432,7 +473,60 @@ def test_cross_polytope_ball_counts_have_positive_coefficients():
         assert poly[k] == Fraction(2**k, math.factorial(k))
         for t in range(6):
             count = _ball_count(_orthant_slice(t, k, 1, t), t, 1, t)
-            assert sum(c * t**d for d, c in enumerate(poly)) == count, (k, t)
+            assert sum(c * t**d for d, c in enumerate(poly)) == count == _cross_polytope_count(k, t), (k, t)
+
+
+def _l1_tally(k: int, t: int) -> dict[int, int]:
+    # How many points of [-t, t]^k have each l1 norm.
+    tally = {}
+    for point in itertools.product(range(-t, t + 1), repeat=k):
+        norm = sum(map(abs, point))
+        tally[norm] = tally.get(norm, 0) + 1
+    return tally
+
+
+@settings(max_examples=40)
+@given(st.integers(1, 5), st.data())
+def test_cross_polytope_forms_match_product_tally(k, data):
+    # The box [-t, t]^k holds the whole l1 ball of radius s <= t.
+    t = data.draw(st.integers(0, {1: 40, 2: 20, 3: 8, 4: 5, 5: 3}[k]))
+    tally = _l1_tally(k, t)
+    for s in range(-1, t + 1):
+        inside = {norm: m for norm, m in tally.items() if norm <= s}
+        assert _cross_polytope_count(k, s) == sum(inside.values()), (k, t, s)
+        assert _cross_polytope_norm_sum(k, s) == sum(norm * m for norm, m in inside.items()), (k, t, s)
+
+
+def _p1_cells(budget: int):
+    # Every p = 1 shell up to one past max_enumerable_n at this budget.
+    for k in range(1, 9):
+        n_max = _outcome(max_enumerable_n, k, 1, budget)
+        for n in range(n_max + 2 if isinstance(n_max, int) else 1):
+            yield n, k
+
+
+def test_p1_closed_form_equals_the_slice_route(monkeypatch):
+    budgets = (2**22, 2**16, 1000)
+    cells = [(n, k, budget) for budget in budgets for n, k in _p1_cells(budget)]
+    radii = [0.5, 1.0, 2.5, 7.0, 19.99, 20.0, 63.2]
+    closed = [_outcome(lattice_shell_enumerate, n, k, 1, budget) for n, k, budget in cells]
+    checks = [_outcome(lattice_count_check, k, 1, r) for k in range(1, 6) for r in radii]
+    monkeypatch.setattr(pnorm, "_ball", pnorm._slice_ball)
+    sliced = [_outcome(lattice_shell_enumerate, n, k, 1, budget) for n, k, budget in cells]
+    assert [typed_fields(s) for s in closed] == [typed_fields(s) for s in sliced]
+    assert sum(isinstance(s, LatticeShellSummary) for s in closed) == 191
+    assert checks == [_outcome(lattice_count_check, k, 1, r) for k in range(1, 6) for r in radii]
+
+
+def test_p1_queries_build_no_slice(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a p = 1 query built a slice or counted on one")
+
+    for name in ("_orthant_slice", "_ball_count", "_ball_norm_sum"):
+        monkeypatch.setattr(pnorm, name, refuse)
+    for k in range(1, 8):
+        lattice_shell_enumerate(max_enumerable_n(k, 1), k, 1)
+        lattice_count_check(k, 1, 2.5)
 
 
 def test_float_radius_ceiling_reaches_the_radius_when_k_is_two_to_the_p():
