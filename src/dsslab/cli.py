@@ -115,6 +115,12 @@ def _emit(config: RunConfig, columns, rows, fields, code: int = 0, notes=()) -> 
     return CommandResult(text, tuple(notes), code)
 
 
+def _budget(config: RunConfig) -> dict:
+    """The budget keyword of a library call: none without --budget, so the
+    library's own default holds."""
+    return {} if config.budget is None else {"budget": config.budget}
+
+
 def _cmd_bounds(config: RunConfig) -> CommandResult:
     methods = _bounds.METHOD_TOKENS if config.method == "all" else (config.method,)
     columns = ("method", "coefficient", "asymptotic_bound", "finite_bound")
@@ -142,13 +148,12 @@ def _cmd_crossover(config: RunConfig) -> CommandResult:
 
 
 def _cmd_lattice_check(config: RunConfig) -> CommandResult:
-    budget = config.budget if config.budget is not None else _pnorm.DEFAULT_ENUM_BUDGET
-    p = int(config.p)
     if config.radius is not None:
-        disc = _pnorm.lattice_count_check(config.k, p, config.radius, budget=budget)
-        row = {"k": config.k, "p": p, "radius": config.radius, "relative_discrepancy": disc}
+        disc = _pnorm.lattice_count_check(config.k, config.p, config.radius, **_budget(config))
+        # The library took p as an integer, 2.0 as 2, and the row shows it so.
+        row = {"k": config.k, "p": int(config.p), "radius": config.radius, "relative_discrepancy": disc}
         return _emit(config, tuple(row), [row], row)
-    summary = _pnorm.lattice_shell_enumerate(config.n, config.k, p, budget=budget)
+    summary = _pnorm.lattice_shell_enumerate(config.n, config.k, config.p, **_budget(config))
     columns = (
         "n", "k", "p", "count", "discrete_sum",
         "boundary_norm_power", "r_discrete", "r_continuous", "continuum_ratio",
@@ -190,8 +195,7 @@ def _cmd_verify(config: RunConfig) -> CommandResult:
 
 
 def _cmd_search(config: RunConfig) -> CommandResult:
-    budget = config.budget if config.budget is not None else _sequences.DEFAULT_NODE_BUDGET
-    outcome = _sequences.min_m_search(config.n, config.k, budget=budget)
+    outcome = _sequences.min_m_search(config.n, config.k, **_budget(config))
     code = 0 if outcome.exhaustive else 3
     witness = outcome.witness
     if config.fmt == "text":
@@ -221,8 +225,7 @@ def _cmd_search(config: RunConfig) -> CommandResult:
 def _cmd_moments(config: RunConfig) -> CommandResult:
     seq = _load_sequence(config.file)
     if config.samples is None:
-        budget = config.budget if config.budget is not None else _moments.DEFAULT_TABLE_BUDGET
-        value = _moments.exact_moment(seq, config.p, budget=budget)
+        value = _moments.exact_moment(seq, config.p, **_budget(config))
     else:
         value = _moments.mc_estimate(seq, config.p, config.samples, config.seed)
     columns = ("p", "value", "stderr", "samples", "provenance")
@@ -234,8 +237,7 @@ def _cmd_moments(config: RunConfig) -> CommandResult:
 
 
 def _cmd_report(config: RunConfig) -> CommandResult:
-    budget = config.budget if config.budget is not None else _sequences.DEFAULT_NODE_BUDGET
-    report = _sequences.bound_vs_search_report(config.n, config.k, budget=budget)
+    report = _sequences.bound_vs_search_report(config.n, config.k, **_budget(config))
     columns = (
         "method", "finite_bound", "asymptotic_bound", "m_min", "baseline_m",
         "finite_violation", "asymptotic_exceeds",

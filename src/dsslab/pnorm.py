@@ -61,53 +61,27 @@ GAMMA_DOMAIN = (0.05, 500.0)
 _INT64_MAX = np.iinfo(np.int64).max
 
 
-def _check_gamma_domain(x: float) -> None:
-    lo, hi = GAMMA_DOMAIN
-    if not (lo <= x <= hi):
-        raise ValueError(f"gamma argument {x} outside supported range [{lo}, {hi}]")
-
-
-def _exact_gamma(x: float):
-    """Exact value at integer and half-integer arguments, else None.
-
-    Returns (rational, with_sqrt_pi): the value is rational, times sqrt(pi)
-    when the flag is set. Detection is by exact float equality, so only
-    arguments given exactly as m or m + 1/2 short-circuit.
-    """
-    doubled = 2.0 * x
-    if doubled != round(doubled):
-        return None
-    m2 = int(round(doubled))
-    if m2 % 2 == 0:
-        n = m2 // 2
-        if n < 1:
-            return None
-        return Fraction(math.factorial(n - 1)), False
-    m = (m2 - 1) // 2
-    if m < 0:
-        return None
-    # Gamma(m + 1/2) = (2m)! sqrt(pi) / (4^m m!)
-    return Fraction(math.factorial(2 * m), 4**m * math.factorial(m)), True
-
-
 def gamma_fn(x: float) -> float:
     """Gamma(x) for 0.05 <= x <= 500.
 
-    Integer and half-integer arguments short-circuit to exact factorial
-    arithmetic (rounded once on conversion to float); everything else goes
-    through math.gamma. Raises OverflowError where the true value exceeds
-    the double range (x above roughly 171.6); use gamma_root there.
+    Integer arguments give (x - 1)! and half-integer ones m + 1/2 give
+    (2m)! / (4^m m!) * sqrt(pi), the ratio of ints rounded once by true
+    division; everything else goes through math.gamma. Detection is by
+    exact float equality, so only arguments given exactly as m or m + 1/2
+    short-circuit. Raises OverflowError where the true value exceeds the
+    double range (x above roughly 171.6); use gamma_root there.
     """
-    _check_gamma_domain(x)
-    exact = _exact_gamma(x)
+    lo, hi = GAMMA_DOMAIN
+    if not (lo <= x <= hi):
+        raise ValueError(f"gamma argument {x} outside supported range [{lo}, {hi}]")
     try:
-        if exact is None:
-            value = math.gamma(x)
+        if x == int(x):
+            value = float(math.factorial(int(x) - 1))
+        elif 2 * x == int(2 * x):
+            m = int(x)
+            value = math.factorial(2 * m) / (4**m * math.factorial(m)) * math.sqrt(math.pi)
         else:
-            frac, with_sqrt_pi = exact
-            value = float(frac)
-            if with_sqrt_pi:
-                value *= math.sqrt(math.pi)
+            value = math.gamma(x)
     except OverflowError:
         value = math.inf
     if math.isinf(value):

@@ -322,12 +322,10 @@ class SearchOutcome:
 
 def _canonical_permuted(vectors: tuple[tuple[int, ...], ...], k: int) -> tuple:
     """Lexicographically least coordinate permutation of a sorted sequence."""
-    best = None
-    for perm in itertools.permutations(range(k)):
-        permuted = tuple(sorted(tuple(vec[j] for j in perm) for vec in vectors))
-        if best is None or permuted < best:
-            best = permuted
-    return best
+    return min(
+        tuple(sorted(tuple(vec[j] for j in perm) for vec in vectors))
+        for perm in itertools.permutations(range(k))
+    )
 
 
 class _NodeBudget:
@@ -421,7 +419,11 @@ def min_m_search(
 
     Iterates M = 1, 2, ... and refutes each level exhaustively before
     moving on; feasibility is monotone in M, so the first feasible level
-    is the answer. prune=False switches to the pruning-free brute-force
+    is the answer. The empty sequence (n = 0) is found at M = 0 with no
+    search. A found level and a node budget that trips mid-level end the
+    loop alike, and one SearchOutcome reports either: on the trip, m_min
+    and witness are None and refuted_below is the level left unfinished.
+    prune=False switches to the pruning-free brute-force
     reference path (same canonical ordering, no prefix pruning, no root
     symmetry break), used to certify the pruned search in tests.
 
@@ -432,42 +434,31 @@ def min_m_search(
         raise ValueError(f"search supports k in {sorted(SEARCH_LIMITS)}, got {k}")
     if n < 0 or n > SEARCH_LIMITS[k]:
         raise ValueError(f"search supports 0 <= n <= {SEARCH_LIMITS[k]} for k={k}, got {n}")
-    if n == 0:
-        witness = VectorSequence(n=0, k=k, bound=0, vectors=())
-        return SearchOutcome(
-            n=0, k=k, m_min=0, witness=witness, exhaustive=True, refuted_below=0, nodes=0
-        )
-
     tracker = _NodeBudget(budget)
     level = _search_level if prune else _bruteforce_level
-    m = 1
-    while True:
-        try:
+    # The empty sequence fits M = 0; any other starts the search at M = 1.
+    m, found = (0, ((), [])) if n == 0 else (1, None)
+    try:
+        while found is None:
             found = level(n, k, m, tracker)
-        except BudgetExceededError:
-            return SearchOutcome(
-                n=n,
-                k=k,
-                m_min=None,
-                witness=None,
-                exhaustive=False,
-                refuted_below=m,
-                nodes=tracker.spent,
-            )
-        if found is not None:
-            indices, candidates = found
-            vectors = tuple(candidates[i] for i in indices)
-            witness = VectorSequence(n=n, k=k, bound=m, vectors=_canonical_permuted(vectors, k))
-            return SearchOutcome(
-                n=n,
-                k=k,
-                m_min=m,
-                witness=witness,
-                exhaustive=True,
-                refuted_below=m,
-                nodes=tracker.spent,
-            )
-        m += 1
+            if found is None:
+                m += 1
+    except BudgetExceededError:
+        pass
+    witness = None
+    if found is not None:
+        indices, candidates = found
+        vectors = _canonical_permuted(tuple(candidates[i] for i in indices), k)
+        witness = VectorSequence(n=n, k=k, bound=m, vectors=vectors)
+    return SearchOutcome(
+        n=n,
+        k=k,
+        m_min=None if witness is None else m,
+        witness=witness,
+        exhaustive=witness is not None,
+        refuted_below=m,
+        nodes=tracker.spent,
+    )
 
 
 def baseline_construction(n: int, k: int) -> VectorSequence:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import functools
 import json
 import math
@@ -14,6 +15,9 @@ import pytest
 from conftest import conway_guy
 from dsslab import VectorSequence, crossover_table, exact_moment, sequences, verify_distinct
 from dsslab.cli import DEFAULT_SEED, RunConfig, _build_parser, _emit, build_config, main, run
+from dsslab.moments import DEFAULT_TABLE_BUDGET
+from dsslab.pnorm import DEFAULT_ENUM_BUDGET
+from dsslab.sequences import DEFAULT_NODE_BUDGET
 
 GOLDEN = Path(__file__).parent / "data" / "cli_golden.json"
 
@@ -246,6 +250,33 @@ def test_lattice_check_budget_exit(capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "int64" in captured.err
+
+
+@pytest.mark.parametrize("mode", [["--n", "3"], ["--radius", "7.5"]])
+def test_lattice_check_passes_p_to_the_library(mode):
+    # p goes to the library as it is: 2.5 meets the library's refusal
+    # instead of becoming 2, and 2.0 prints the bytes of 2.
+    config = build_config(["lattice-check", *mode, "--k", "2", "--p", "2"])
+    with pytest.raises(ValueError, match="positive integer, got 2.5"):
+        run(dataclasses.replace(config, p=2.5))
+    for fmt in ("text", "csv", "json"):
+        as_int = dataclasses.replace(config, fmt=fmt)
+        assert run(dataclasses.replace(as_int, p=2.0)) == run(as_int), fmt
+
+
+def test_absent_budget_is_the_library_default(good_file):
+    cases = (
+        (["lattice-check", "--n", "6", "--k", "2", "--p", "2"], DEFAULT_ENUM_BUDGET),
+        (["lattice-check", "--radius", "7.5", "--k", "2", "--p", "2"], DEFAULT_ENUM_BUDGET),
+        (["search", "--n", "4", "--k", "2"], DEFAULT_NODE_BUDGET),
+        (["moments", "--file", good_file, "--p", "3"], DEFAULT_TABLE_BUDGET),
+        (["report", "--n", "3", "--k", "1"], DEFAULT_NODE_BUDGET),
+    )
+    for argv, default in cases:
+        for fmt in ("text", "csv", "json"):
+            bare = [*argv, "--format", fmt]
+            with_budget = run(build_config([*bare, "--budget", str(default)]))
+            assert run(build_config(bare)) == with_budget, bare
 
 
 def test_verify_exit_codes(good_file, bad_file):

@@ -59,6 +59,8 @@ def test_integral_float_p_is_taken_as_int():
     for bad in (2.5, 0, math.inf):
         with pytest.raises(ValueError, match="positive integer"):
             scaled_abs_moment_sum(5, bad)
+    with pytest.raises(ValueError, match="nonnegative"):
+        scaled_abs_moment_sum(-1, 1)
 
 
 def test_scaled_property():

@@ -41,6 +41,12 @@ def test_distribution_examples():
     assert signed_sum_distribution((1,)).support == {-1: 1, 1: 1}
     assert signed_sum_distribution((1, 1)).support == {-2: 1, 0: 2, 2: 1}
     assert signed_sum_distribution((1, 2)).support == {-3: 1, -1: 1, 1: 1, 3: 1}
+    dist = signed_sum_distribution((1, 2))
+    assert len(dist.support) == dist.values.size
+    # A value missing inside the range and values outside it alike.
+    for missing in (0, 2, -4, 4):
+        with pytest.raises(KeyError):
+            dist.support[missing]
 
 
 def test_distribution_counts_and_symmetry():
@@ -286,6 +292,8 @@ def test_three_sign_guards_and_validation():
     for signs in ((1,), (0, 1), (-1, 1, 0), (-2, 0, 2)):
         with pytest.raises(ValueError):
             signed_sum_distribution((1, 2), signs=signs)
+    with pytest.raises(ValueError, match="nonnegative"):
+        signed_sum_distribution((1, -2), signs=(-1, 0, 1))
 
 
 def test_distribution_int64_guards():
@@ -537,6 +545,9 @@ def test_extremal_metadata_and_validation():
     assert mv.provenance == "closed_form"
     with pytest.raises(ValueError):
         extremal_moment(4, 2, 3, 2)
+    for shape in ((0, 2, 3), (4, 0, 3), (4, 2, -1)):
+        with pytest.raises(ValueError, match="bad shape"):
+            extremal_moment(*shape, 1)
 
 
 def test_random_sequences_never_beat_extremal():

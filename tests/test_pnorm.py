@@ -54,6 +54,15 @@ def test_gamma_integer_and_half_integer_short_circuits():
     assert gamma_fn(7.0) == 720.0
     assert gamma_fn(1.5) == math.sqrt(math.pi) / 2.0
     assert gamma_fn(2.5) == 3.0 * math.sqrt(math.pi) / 4.0
+    # Every integer and half-integer argument up to 171.5 is the correctly
+    # rounded rational, times sqrt(pi) at the half-integers.
+    for twice in range(1, 344):
+        m = twice // 2
+        if twice % 2 == 0:
+            ref = float(Fraction(math.factorial(m - 1)))
+        else:
+            ref = float(Fraction(math.factorial(2 * m), 4**m * math.factorial(m))) * math.sqrt(math.pi)
+        assert gamma_fn(twice / 2) == ref, twice / 2
 
 
 def test_gamma_against_stdlib_grid():
@@ -85,6 +94,12 @@ def test_gamma_domain_errors():
         gamma_fn(500.5)
     with pytest.raises(OverflowError):
         gamma_fn(180.0)
+    # From 172 on, every integer and half-integer passes the double range.
+    for twice in range(344, 1001):
+        with pytest.raises(OverflowError, match=rf"^Gamma\({twice / 2}\) exceeds double range$"):
+            gamma_fn(twice / 2)
+    with pytest.raises(ValueError, match="root order"):
+        gamma_root(2.0, 0)
 
 
 def test_gamma_root_matches_lgamma():
@@ -113,6 +128,11 @@ def test_ball_validation():
         ball_volume(0, 2, 1.0)
     with pytest.raises(ValueError):
         ball_volume(2, 2, -1.0)
+    with pytest.raises(ValueError, match="norm exponent"):
+        ball_volume(2, 0, 1.0)
+    for n, k, p, what in ((-1, 2, 2, "count exponent"), (3, 0, 2, "dimension"), (3, 2, 0, "norm exponent")):
+        with pytest.raises(ValueError, match=what):
+            radius_for_count(n, k, p)
 
 
 def test_radius_for_count_examples():

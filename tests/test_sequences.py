@@ -25,6 +25,8 @@ from dsslab import (
 )
 from dsslab.moments import signed_sum_distribution
 from dsslab.sequences import (
+    DEFAULT_NODE_BUDGET,
+    SearchOutcome,
     _bruteforce_level,
     _gray_first_collision,
     _mixed_radix,
@@ -43,6 +45,9 @@ def test_sequence_validation():
         VectorSequence(3, 1, 3, ((1,), (2,)))
     with pytest.raises(ValueError):
         VectorSequence(1, 1, 3, ((-1,),))
+    for shape in ((-1, 1, 3), (0, 0, 3), (0, 1, -1)):
+        with pytest.raises(ValueError, match="bad shape"):
+            VectorSequence(*shape, ())
 
 
 def test_sequence_text_round_trip():
@@ -424,6 +429,19 @@ def test_search_trivial_empty_sequence():
     assert out.m_min == 0
     assert out.exhaustive
     assert out.witness.vectors == ()
+    # The empty sequence needs no search, whatever k, path or budget.
+    for k in SEARCH_LIMITS:
+        for prune in (True, False):
+            for budget in (0, 1, DEFAULT_NODE_BUDGET):
+                assert min_m_search(0, k, budget=budget, prune=prune) == SearchOutcome(
+                    n=0,
+                    k=k,
+                    m_min=0,
+                    witness=VectorSequence(0, k, 0, ()),
+                    exhaustive=True,
+                    refuted_below=0,
+                    nodes=0,
+                ), (k, prune, budget)
 
 
 # Cells that the pruning-free oracle finishes in well under a second, with
@@ -558,6 +576,12 @@ def test_baseline_examples():
         4, 2, 2, ((1, 0), (0, 1), (2, 0), (0, 2))
     )
     assert baseline_construction(5, 2).bound == 4
+
+
+def test_baseline_validation():
+    for n, k in ((0, 1), (-1, 2), (3, 0)):
+        with pytest.raises(ValueError, match="need n, k >= 1"):
+            baseline_construction(n, k)
 
 
 def test_baseline_always_verifies():

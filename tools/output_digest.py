@@ -4,7 +4,8 @@ Usage: python tools/output_digest.py TREE
 
 Imports dsslab from TREE/src and prints `<records> <sha256>`: the number
 of records and one hash over all of them. A record is the repr of one
-seeded call's result, or of its refusal as (what, needed, budget). Arrays
+seeded call's result, or of its refusal: (what, needed, budget) for a
+budget, the message for a ValueError or an OverflowError. Arrays
 enter by their length and the hash of their int64 bytes. The calls:
 
 - signed_sum_distribution with both sign sets, at budgets 1..64 and
@@ -14,7 +15,16 @@ enter by their length and the hash of their int64 bytes. The calls:
 - exact_moment for p = 1, 2, 3, at the default budget and at small ones;
 - lattice_shell_enumerate for k <= 8, p <= 5 and every n up to one past
   max_enumerable_n, at budgets 2^22 and 2^16;
-- lower_bound on a grid of (n, k, method).
+- lower_bound on a grid of (n, k, method);
+- gamma_fn and gamma_root on every half-integer of GAMMA_DOMAIN and on
+  a seeded sample of it;
+- ball_volume and radius_for_count on a (k, p, n) grid, and
+  lattice_count_check at a few radii;
+- crossover_table(1, 200);
+- min_m_search on its cheap cells (n <= 3, n = 0 included) with both
+  search paths and small budgets;
+- cli.run on lattice-check in both modes and every format, with p given
+  as 2 and as 2.0.
 
 Two trees print the same line exactly when every record matches. Uses
 the standard library and numpy only; a run takes well under a minute.
@@ -32,15 +42,16 @@ import numpy as np
 
 def _records(dsslab):
     """Yield one (label, result) pair per call, a refusal standing in for its result."""
-    from dsslab import BudgetExceededError, VectorSequence
+    from dsslab import SEARCH_LIMITS, BudgetExceededError, VectorSequence
+    from dsslab.cli import RunConfig, run
 
     def call(label, fn, *args, **kwargs):
         try:
             return label, fn(*args, **kwargs)
         except BudgetExceededError as err:
             return label, ("refused", err.what, err.needed, err.budget)
-        except ValueError as err:
-            return label, ("ValueError", str(err))
+        except (ValueError, OverflowError) as err:
+            return label, (type(err).__name__, str(err))
 
     def sequence(rng, n, k, bound):
         vectors = tuple(tuple(int(c) for c in row) for row in rng.integers(0, bound + 1, size=(n, k)))
@@ -99,6 +110,39 @@ def _records(dsslab):
         for k in range(1, 9):
             for n in (1, 2, 3, 5, 8, 13, 21, 34, 55, 89, 144, 500, 1023, 1024, 4096, 9000):
                 yield call(("bound", n, k, method), dsslab.lower_bound, n, k, method)
+
+    lo, hi = dsslab.pnorm.GAMMA_DOMAIN
+    sample = np.random.default_rng(2500).uniform(lo, hi, size=2000).tolist()
+    for x in [twice / 2 for twice in range(1, int(2 * hi) + 1)] + sample:
+        yield call(("gamma", x), dsslab.gamma_fn, x)
+        for r in (1, 2, 3, 10):
+            yield call(("gamma root", x, r), dsslab.gamma_root, x, r)
+
+    for k in range(0, 13):
+        for p in range(0, 7):
+            for r in (0.5, 1.0, 2.5, 10.0):
+                yield call(("volume", k, p, r), dsslab.ball_volume, k, p, r)
+            for n in range(-1, 65):
+                yield call(("radius", n, k, p), dsslab.radius_for_count, n, k, p)
+    for k in range(1, 5):
+        for p in (1, 2, 3):
+            for r in (0.5, 1.0, 2.5, 7.5, 20.0, 50.0):
+                yield call(("count check", k, p, r), dsslab.lattice_count_check, k, p, r)
+
+    yield call(("crossover", 1, 200), lambda: tuple(dsslab.crossover_table(1, 200)))
+
+    for k in SEARCH_LIMITS:
+        for n in range(4):
+            for prune in (True, False):
+                for budget in (0, 1, 2, 5, 17, 100, 1000):
+                    yield call(("search", n, k, prune, budget), dsslab.min_m_search,
+                               n, k, budget=budget, prune=prune)
+
+    for mode in ({"n": 0}, {"n": 6}, {"radius": 7.5}):
+        for fmt in ("text", "csv", "json"):
+            for p in (2, 2.0):
+                config = RunConfig(command="lattice-check", fmt=fmt, k=2, p=p, **mode)
+                yield call(("cli", config), run, config)
 
 
 def _encode(value) -> str:
