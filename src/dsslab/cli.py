@@ -7,8 +7,9 @@ exceeding a searched minimum), 2 usage error, 3 resource budget exceeded.
 
 Each command names one tuple of columns and reads them off its result
 dataclass. The picked rows feed one table renderer for text and CSV, and
-the same dicts become the rows or fields of the JSON object. Only `verify`
-and `search` write text by hand, because their text output is not a table.
+the same dicts become the rows or fields of the JSON object. Every command
+renders through `_emit`; `verify` and `search` pass it their text output,
+which is not a table, and it stands in for the table under --format text.
 
 Output is a pure function of the parsed configuration: the same RunConfig
 produces byte-identical bytes, which the test suite asserts. Diagnostic
@@ -102,15 +103,18 @@ def _pick(obj, columns: tuple[str, ...]) -> dict:
     return {name: getattr(obj, name) for name in columns}
 
 
-def _emit(config: RunConfig, columns, rows, fields, code: int = 0, notes=()) -> CommandResult:
+def _emit(
+    config: RunConfig, columns, rows, fields, code: int = 0, notes=(), text: str | None = None
+) -> CommandResult:
     """Render `rows` (dicts keyed by `columns`) as a CSV or text table, or
-    `fields` as the command's JSON object."""
+    `fields` as the command's JSON object; `text`, when given, is the
+    output under --format text in place of the table."""
     if config.fmt == "json":
         payload = {"command": config.command, **fields}
         text = json.dumps(
             payload, sort_keys=True, indent=2, default=_json_default, allow_nan=False
         ) + "\n"
-    else:
+    elif config.fmt == "csv" or text is None:
         text = _table(columns, rows, config.fmt)
     return CommandResult(text, tuple(notes), code)
 
@@ -176,41 +180,35 @@ def _cmd_verify(config: RunConfig) -> CommandResult:
     collision = _sequences.verify_distinct(seq)
     columns = ("status", "first", "second", "total")
     if collision is None:
-        if config.fmt == "text":
-            return CommandResult("pass\n", (), 0)
         row = {**dict.fromkeys(columns), "status": "pass"}
-        return _emit(config, columns, [row], {"status": "pass", "n": seq.n, "k": seq.k})
+        fields = {"status": "pass", "n": seq.n, "k": seq.k}
+        return _emit(config, columns, [row], fields, text="pass\n")
     # Index and sum lists are space-joined in a cell and stay lists in JSON.
     fields = {"status": "collision", **{c: list(getattr(collision, c)) for c in columns[1:]}}
     row = {**fields, **{c: " ".join(map(str, fields[c])) for c in columns[1:]}}
-    if config.fmt == "text":
-        text = (
-            "collision: two subsets share a sum (indices zero-based)\n"
-            f"first:  {{{row['first']}}}\n"
-            f"second: {{{row['second']}}}\n"
-            f"sum:    ({row['total']})\n"
-        )
-        return CommandResult(text, (), 1)
-    return _emit(config, columns, [row], fields, code=1)
+    text = (
+        "collision: two subsets share a sum (indices zero-based)\n"
+        f"first:  {{{row['first']}}}\n"
+        f"second: {{{row['second']}}}\n"
+        f"sum:    ({row['total']})\n"
+    )
+    return _emit(config, columns, [row], fields, code=1, text=text)
 
 
 def _cmd_search(config: RunConfig) -> CommandResult:
     outcome = _sequences.min_m_search(config.n, config.k, **_budget(config))
-    code = 0 if outcome.exhaustive else 3
     witness = outcome.witness
-    if config.fmt == "text":
-        if witness is None:
-            text = (
-                f"search exhausted its node budget: every M < {outcome.refuted_below} is refuted,"
-                f" no witness yet ({outcome.nodes} nodes)\n"
-            )
-        else:
-            text = (
-                f"m_min = {outcome.m_min} (exhaustive, {outcome.nodes} nodes)\n"
-                "witness in sequence file format:\n"
-                + witness.to_text()
-            )
-        return CommandResult(text, (), code)
+    if witness is None:
+        text = (
+            f"search exhausted its node budget: every M < {outcome.refuted_below} is refuted,"
+            f" no witness yet ({outcome.nodes} nodes)\n"
+        )
+    else:
+        text = (
+            f"m_min = {outcome.m_min} (exhaustive, {outcome.nodes} nodes)\n"
+            "witness in sequence file format:\n"
+            + witness.to_text()
+        )
     columns = ("n", "k", "m_min", "exhaustive", "refuted_below", "nodes")
     row = _pick(outcome, columns)
     fields = {
@@ -219,7 +217,7 @@ def _cmd_search(config: RunConfig) -> CommandResult:
         if witness is None
         else {**_pick(witness, ("n", "k", "bound")), "vectors": [list(v) for v in witness.vectors]},
     }
-    return _emit(config, columns, [row], fields, code=code)
+    return _emit(config, columns, [row], fields, code=0 if outcome.exhaustive else 3, text=text)
 
 
 def _cmd_moments(config: RunConfig) -> CommandResult:

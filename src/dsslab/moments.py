@@ -9,14 +9,14 @@ arrays. The DP that builds them grows the values unfolded and sorts
 equal ones together after a step whose unfolded values pass the budget,
 refusing it if the sorted support still does, once at the end, and in
 between only once the unfolded values reach a floor of 2^16 entries and
-then could outgrow the support's range or have grown 8-fold since the
-last sort. Exact moments pair two such distributions, one per half of
-the entries (Horowitz-Sahni), through exact prefix power sums, so the
-full 2^n-entry support of a distinct-sum coordinate is never built; the
-pairing runs in uint64 arrays modulo 2^64 and as many primes
-below 2^32 as 2^n * S_j^p needs, and the Chinese remainder theorem
-recovers its exact sum. The same split into halves (_halves), over the
-signs {-1, 0, +1}, decides distinct subset sums in sequences.
+have grown 8-fold since the last sort. Exact moments pair two such
+distributions, one per half of the entries (Horowitz-Sahni), through
+exact prefix power sums, so the full 2^n-entry support of a distinct-sum
+coordinate is never built; the pairing runs in uint64 arrays modulo 2^64
+and as many primes below 2^32 as 2^n * S_j^p needs, and the Chinese
+remainder theorem recovers its exact sum. The same split into halves
+(_halves), over the signs {-1, 0, +1}, decides distinct subset sums in
+sequences.
 
 Exact paths return rationals; the Monte Carlo path returns a float with a
 standard error, bit-for-bit reproducible from (seed, samples, seq, p) on
@@ -70,16 +70,16 @@ DEFAULT_TABLE_BUDGET = 1 << 22
 # to sort in cache, ~8 ns out of it. While the next unfolded array stays
 # under _FOLD_FLOOR entries (512 KB of int64) nothing is folded early: the
 # one sort at the end then costs at most ~0.4 ms, less than the calls of
-# the folds it replaces, which came about once a step wherever the
-# pigeonhole bound was small. The n = 20 verifier's halves (3^10 = 59,049
-# entries) stay under it and fold once; at n = 22 a half's last step
-# (3^11 = 177,147) crosses it, so the half folds at 3^10 and again at the
-# end, a third more sorting than the final fold alone.
+# the growth folds it replaces, one every two or three steps. The n = 20
+# verifier's halves (3^10 = 59,049 entries) stay under it and fold once;
+# at n = 22 a half's last step (3^11 = 177,147) crosses it, so the half
+# folds at 3^10 and again at the end, a third more sorting than the final
+# fold alone.
 _FOLD_FLOOR = 1 << 16
-# Above the floor a fold also waits until the next unfolded array would
-# pass the pigeonhole bound or the values have grown _FOLD_GROWTH-fold
-# since the last fold. Where sums repeat, the unfolded values thus stay
-# within 8 (9 for three signs) times the support the last fold left.
+# Above the floor a fold also waits until the values have grown
+# _FOLD_GROWTH-fold since the last fold. Where sums repeat, the unfolded
+# values thus stay within 8 (9 for three signs) times the support the last
+# fold left.
 # Where they do not, the folds sort arrays growing 8- or 9-fold, at most
 # 4/7 (two signs) or 3/8 (three) more sorting than the final fold alone,
 # and a fold that merged nothing keeps the next one a sort in place.
@@ -169,14 +169,10 @@ def signed_sum_distribution(
     of each run of equal values (_fold), always after a step whose
     unfolded values pass the budget, and once at the end. In between, a
     fold comes only once the next step's unfolded array reaches
-    _FOLD_FLOOR entries, and then when it would pass the pigeonhole bound
-    below or the values have grown _FOLD_GROWTH-fold since the last fold.
-    No values are folded twice, and no output depends on when the folds
-    come: equal values merge and their counts add exactly in any order.
-    The next support has at most min(2 * len, reach + 1) entries for two
-    signs, which keep every value on one parity, and
-    min(3 * len, 2 * reach + 1) for three, reach being the running sum of
-    the coordinates.
+    _FOLD_FLOOR entries and the values have grown _FOLD_GROWTH-fold since
+    the last fold. No values are folded twice, and no output depends on
+    when the folds come: equal values merge and their counts add exactly
+    in any order.
 
     budget caps the support entries after any one step. It is checked
     once a step, right after it: values within the budget pass as they
@@ -201,15 +197,9 @@ def signed_sum_distribution(
 
     values = np.zeros(1, dtype=np.int64)
     counts = None
-    reach = 0
     folded = 1  # the support the last fold left; the start counts as one
-    for c, shifts in zip(coords, np.multiply.outer(np.array(coords, dtype=np.int64), signs)):
-        reach += c
-        limit = reach + 1 if width == 2 else 2 * reach + 1
-        grown = width * len(values)
-        if len(values) > folded and grown >= _FOLD_FLOOR and (
-            grown > limit or len(values) >= _FOLD_GROWTH * folded
-        ):
+    for shifts in np.multiply.outer(np.array(coords, dtype=np.int64), signs):
+        if width * len(values) >= _FOLD_FLOOR and len(values) >= _FOLD_GROWTH * folded:
             values, counts = _fold(values, counts)
             folded = len(values)
         values = np.add.outer(shifts, values).ravel()

@@ -358,7 +358,7 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
     undo on backtracking. Every attempted placement ticks the budget once,
     before its collision test.
 
-    Returns indices into the candidate list, or None when refuted.
+    Returns the sequence's vectors, or None when refuted.
     Raises BudgetExceededError when the node budget trips mid-search.
     """
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
@@ -390,7 +390,7 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
         return False
 
     if extend(roots, 0, 1):
-        return tuple(chosen), candidates
+        return tuple(candidates[idx] for idx in chosen)
     return None
 
 
@@ -398,9 +398,8 @@ def _bruteforce_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | No
     """Pruning-free reference: try every increasing sequence, and keep the
     first whose Gray-walk sums never repeat, by a set of the sums seen."""
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
-    for combo in itertools.combinations(range(len(candidates)), n):
+    for vectors in itertools.combinations(candidates, n):
         budget.tick()
-        vectors = tuple(candidates[i] for i in combo)
         seq = VectorSequence(n=n, k=k, bound=m, vectors=vectors)
         seen = set()
         for _, packed in iter_gray_subset_sums(seq):
@@ -408,7 +407,7 @@ def _bruteforce_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | No
                 break
             seen.add(packed)
         else:
-            return combo, candidates
+            return vectors
     return None
 
 
@@ -437,7 +436,7 @@ def min_m_search(
     tracker = _NodeBudget(budget)
     level = _search_level if prune else _bruteforce_level
     # The empty sequence fits M = 0; any other starts the search at M = 1.
-    m, found = (0, ((), [])) if n == 0 else (1, None)
+    m, found = (0, ()) if n == 0 else (1, None)
     try:
         while found is None:
             found = level(n, k, m, tracker)
@@ -447,9 +446,7 @@ def min_m_search(
         pass
     witness = None
     if found is not None:
-        indices, candidates = found
-        vectors = _canonical_permuted(tuple(candidates[i] for i in indices), k)
-        witness = VectorSequence(n=n, k=k, bound=m, vectors=vectors)
+        witness = VectorSequence(n=n, k=k, bound=m, vectors=_canonical_permuted(found, k))
     return SearchOutcome(
         n=n,
         k=k,

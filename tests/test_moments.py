@@ -347,12 +347,15 @@ def test_fold_schedule_around_the_floor(monkeypatch):
     # unfolded values pass the budget folds them once, right after it, and
     # that fold's support is refused or kept: nothing is folded before the
     # step, and the values it leaves are not folded again at the end.
+    # Powers of 2 repeat their three-sign sums: past the floor a fold waits
+    # for 8-fold growth, however small the support's range.
     real, folds = moments._fold, []
     monkeypatch.setattr(moments, "_fold", lambda v, c: folds.append(len(v)) or real(v, c))
     two, three, default = (-1, 1), (-1, 0, 1), moments.DEFAULT_TABLE_BUDGET
     cases = (  # coords, signs, budget, the folds' input sizes, the support
         ([3**i for i in range(10)], three, default, [3**10], 3**10),
         ([3**i for i in range(11)], three, default, [3**10, 3**11], 3**11),
+        ([1 << i for i in range(15)], three, default, [59049, 55269, 147447], 65535),
         ((1, 2, 4), two, 4, [8], 8),
         ((16, 32, 16, 16), two, 6, [8, 10], 6),
         ((16, 32), three, 7, [9], 7),

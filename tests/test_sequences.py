@@ -534,10 +534,8 @@ def test_level_search_agrees_with_bruteforce(n, k, m):
     pruned = _search_level(n, k, m, _NodeBudget(10**6))
     brute = _bruteforce_level(n, k, m, _NodeBudget(10**6))
     assert (pruned is None) == (brute is None)
-    for found in (pruned, brute):
-        if found is not None:
-            indices, candidates = found
-            vectors = tuple(candidates[i] for i in indices)
+    for vectors in (pruned, brute):
+        if vectors is not None:
             assert verify_distinct(VectorSequence(n, k, m, vectors)) is None
 
 

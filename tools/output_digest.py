@@ -24,7 +24,15 @@ enter by their length and the hash of their int64 bytes. The calls:
 - min_m_search on its cheap cells (n <= 3, n = 0 included) with both
   search paths and small budgets;
 - cli.run on lattice-check in both modes and every format, with p given
-  as 2 and as 2.0.
+  as 2 and as 2.0;
+- mc_estimate at p = 1, 2, 3 and 2.5 with 1, 2 and 4,097 samples (one
+  more than a block), on seeded sequences and on entries above 2^53,
+  2^63 and the float range of a cube;
+- bound_vs_search_report, extremal_moment and variance_identity_check
+  on small grids, and one seeded convexity_probe;
+- cli.run on every case of TREE/tests/data/cli_golden.json: all seven
+  commands in every format, with their pass, collision, budget and
+  audit exits.
 
 Two trees print the same line exactly when every record matches. Uses
 the standard library and numpy only; a run takes well under a minute.
@@ -34,16 +42,18 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import json
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 
 
-def _records(dsslab):
+def _records(dsslab, tree: Path):
     """Yield one (label, result) pair per call, a refusal standing in for its result."""
     from dsslab import SEARCH_LIMITS, BudgetExceededError, VectorSequence
-    from dsslab.cli import RunConfig, run
+    from dsslab.cli import RunConfig, build_config, run
 
     def call(label, fn, *args, **kwargs):
         try:
@@ -144,6 +154,46 @@ def _records(dsslab):
                 config = RunConfig(command="lattice-check", fmt=fmt, k=2, p=p, **mode)
                 yield call(("cli", config), run, config)
 
+    rng = np.random.default_rng(2800)
+    wide = [
+        VectorSequence(3, 2, (1 << 53) + 5, (((1 << 53) + 5, 1), (7, 0), (3, (1 << 53) + 1))),
+        VectorSequence(2, 1, (1 << 64) + 3, (((1 << 64) + 3,), (5,))),
+        VectorSequence(2, 2, 1 << 400, ((1 << 400, 0), (1, 2))),
+    ]
+    shapes = ((1, 1, 3), (5, 2, 1000), (9, 1, 1 << 40), (20, 3, 10**6), (17, 4, 1 << 50))
+    for seed, seq in enumerate([sequence(rng, *shape) for shape in shapes] + wide):
+        for p in (1, 2, 3, 2.5):
+            for samples in (1, 2, 4097):
+                yield call(("mc", seq, p, samples, seed), dsslab.mc_estimate, seq, p, samples, seed)
+    for p, samples in ((0, 5), (2, 0), (float("inf"), 5), (1, dsslab.moments.MC_MAX_SAMPLES + 1)):
+        yield call(("mc", p, samples), dsslab.mc_estimate, wide[0], p, samples, 0)
+
+    for k in SEARCH_LIMITS:
+        for n in range(4):
+            yield call(("report", n, k), dsslab.bound_vs_search_report, n, k)
+    yield call(("report", 5, 1, 50), dsslab.bound_vs_search_report, 5, 1, budget=50)
+    for n in (0, 1, 2, 3, 10, 64, 200):
+        for k in (1, 3):
+            for bound in (0, 1, 7, 1 << 40):
+                for p in (1, 2, 3):
+                    yield call(("extremal", n, k, bound, p), dsslab.extremal_moment, n, k, bound, p)
+    for trial in range(60):
+        seq = sequence(rng, int(rng.integers(0, 13)), int(rng.integers(1, 4)), (3, 1000, 10**12)[trial % 3])
+        yield call(("variance", seq), dsslab.variance_identity_check, seq)
+    yield call(("convexity", 8, 20, 40, 2801), dsslab.convexity_probe, 8, 20, 40, 2801)
+
+    golden = json.loads((tree / "tests" / "data" / "cli_golden.json").read_text())
+    with tempfile.TemporaryDirectory() as folder:
+        paths = {}
+        for name, text in golden["files"].items():
+            paths[name] = Path(folder) / f"{name}.seq"
+            paths[name].write_text(text)
+        # The label is the argv before the input paths are filled in, which
+        # differ from run to run; no output names its input's path.
+        for argv, _, _ in golden["cases"]:
+            config = build_config([a.format(**paths) for a in argv])
+            yield call(("cli golden", tuple(argv)), run, config)
+
 
 def _encode(value) -> str:
     """A repr of value in which each numpy array stands as its length and a hash of its bytes."""
@@ -162,11 +212,12 @@ def main(argv: list[str]) -> int:
     if len(argv) != 2:
         print(__doc__.splitlines()[2], file=sys.stderr)
         return 2
-    sys.path.insert(0, str(Path(argv[1]).resolve() / "src"))
+    tree = Path(argv[1]).resolve()
+    sys.path.insert(0, str(tree / "src"))
     import dsslab
 
     digest, records = hashlib.sha256(), 0
-    for label, result in _records(dsslab):
+    for label, result in _records(dsslab, tree):
         digest.update(f"{_encode(label)} -> {_encode(result)}\n".encode())
         records += 1
     print(records, digest.hexdigest())
