@@ -423,8 +423,10 @@ def _draw_signs(bits: np.random.BitGenerator, out: np.ndarray) -> None:
     draw giving its low half first, so out matches
     rng.integers(0, 2, size=out.shape) == 1 bit for bit: at range 2,
     Lemire's method keeps the top bit of a 32-bit word and never rejects.
-    An odd count leaves the high half of the last draw unused, as
-    rng.integers does.
+    The match holds within one call. An odd count discards the high half
+    of the last draw, where numpy keeps it for its next 32-bit draw, so
+    after an odd count the next call no longer matches the next
+    rng.integers call; after an even count it does.
     """
     words = out.size
     halves = bits.random_raw((words + 1) // 2).view("<i4")[:words]

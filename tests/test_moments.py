@@ -751,6 +751,21 @@ def test_sign_draws_continue_one_stream():
     assert np.array_equal(got, np.random.default_rng(9).integers(0, 2, size=got.shape) == 1)
 
 
+@pytest.mark.parametrize("first", [(3, 7), (4, 7)])
+def test_sign_draws_match_integer_draws_within_one_call(first):
+    # A call matches one rng.integers call for an odd (21) and an even (28)
+    # count. numpy keeps the unused high half of an odd count's last draw
+    # for its next call, which _draw_signs discards: the second call
+    # matches after the even count only.
+    bits, rng = np.random.default_rng(5).bit_generator, np.random.default_rng(5)
+    matches = []
+    for shape in (first, (5, 7)):
+        got = np.empty(shape, dtype=bool)
+        moments._draw_signs(bits, got)
+        matches.append(np.array_equal(got, rng.integers(0, 2, size=shape) == 1))
+    assert matches == [True, first[0] * first[1] % 2 == 0]
+
+
 @pytest.mark.parametrize("block", [2, 6, 1 << 15])
 def test_mc_estimate_does_not_depend_on_block_size(block, monkeypatch):
     rng = np.random.default_rng(404)

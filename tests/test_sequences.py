@@ -26,11 +26,13 @@ from dsslab import (
 from dsslab.moments import signed_sum_distribution
 from dsslab.sequences import (
     DEFAULT_NODE_BUDGET,
+    VERIFY_MAX_N,
     SearchOutcome,
     _bruteforce_level,
     _gray_first_collision,
     _mixed_radix,
     _NodeBudget,
+    _peeled_distinct,
     _search_level,
     _zero_sum_signs,
 )
@@ -405,6 +407,121 @@ def test_verify_with_refused_halves_is_walks_first_collision(seq, budget):
         assert verify_distinct(seq) == _gray_first_collision(seq)
 
 
+@st.composite
+def _block_sequences(draw):
+    # Each vector's last nonzero coordinate c is drawn, its value on c is
+    # small, so that groups often collide, and in the triangular case its
+    # coordinates below c are small too; now and then one vector is zero.
+    n, k = draw(st.integers(0, 12)), draw(st.integers(1, 4))
+    top, low = draw(st.sampled_from((3, 8, 40))), draw(st.sampled_from((0, 2, 5)))
+    vectors = []
+    for _ in range(n):
+        c = draw(st.integers(0, k - 1))
+        lows = draw(st.lists(st.integers(0, low), min_size=c, max_size=c))
+        vectors.append(tuple(lows) + (draw(st.integers(1, top)),) + (0,) * (k - c - 1))
+    if vectors and draw(st.integers(0, 9)) == 0:
+        vectors[draw(st.integers(0, n - 1))] = (0,) * k
+    bound = max((c for vec in vectors for c in vec), default=0)
+    return VectorSequence(n, k, bound, tuple(vectors))
+
+
+@settings(max_examples=300)
+@given(_block_sequences())
+def test_peeled_route_matches_dict_oracle(seq):
+    # The route proves distinctness or decides nothing: it never passes a
+    # colliding input, and verify_distinct keeps the walk's first collision.
+    want = gray_first_collision_by_dict(seq, 1 << 22)
+    if _peeled_distinct(seq):
+        assert want is None
+    assert verify_distinct(seq) == want
+
+
+def _counted(seq):
+    # verify_distinct's result, _peeled_distinct's, and the sequences that
+    # verify_distinct called _zero_sum_signs on, in order.
+    peeled = _peeled_distinct(seq)
+    with mock.patch("dsslab.sequences._zero_sum_signs", wraps=_zero_sum_signs) as count:
+        result = verify_distinct(seq)
+    return result, peeled, [call.args[0] for call in count.call_args_list]
+
+
+def _column(values):
+    return VectorSequence(len(values), 1, max(values), tuple((v,) for v in values))
+
+
+def test_peeled_route_cases():
+    # A zero vector decides nothing: {0} and {0, 1} collide.
+    seq = VectorSequence(3, 2, 4, ((1, 0), (0, 0), (0, 4)))
+    assert _counted(seq) == (Collision(first=(0,), second=(0, 1), total=(1, 0)), False, [seq])
+    # One group of superincreasing values on coordinate 1 proves it alone.
+    seq = VectorSequence(3, 2, 4, ((1, 1), (3, 2), (0, 4)))
+    assert _counted(seq) == (None, True, [])
+    # One group that is not superincreasing is left to the full count: the
+    # Conway-Guy values 3, 5, 6, 7 have distinct sums.
+    seq = VectorSequence(4, 2, 7, ((1, 3), (0, 5), (2, 6), (1, 7)))
+    assert _counted(seq) == (None, False, [seq])
+    # With two groups, that one is counted as a k = 1 sequence and proves it.
+    seq = VectorSequence(5, 2, 7, ((0, 3), (0, 5), (0, 6), (0, 7), (1, 0)))
+    assert _counted(seq) == (None, True, [_column([3, 5, 6, 7])])
+    # A group may collide (3 + 5 = 8 on coordinate 1) where the sequence
+    # does not (1 + 2 != 4 on coordinate 0): the full count decides.
+    seq = VectorSequence(4, 2, 8, ((1, 3), (2, 5), (4, 8), (8, 0)))
+    assert _counted(seq) == (None, False, [_column([3, 5, 8]), seq])
+    # A group sum of 2^62 decides nothing, superincreasing or not; the pair
+    # count decides below a radix of 2^63, the walk from there on.
+    seq = VectorSequence(2, 1, (1 << 62) - 1, ((1,), ((1 << 62) - 1,)))
+    assert _counted(seq) == (None, False, [seq])
+    seq = VectorSequence(2, 2, 1 << 62, ((1 << 62, 0), (1, 1)))
+    assert _counted(seq) == (None, False, [])
+
+
+def _block_triangular(rng, n, k):
+    # Group g carries 2^j on coordinate g and seeded values below it.
+    sizes = [n // k + (g < n % k) for g in range(k)]
+    bound = 1 << (max(sizes) - 1)
+    vectors = [
+        tuple([rng.randint(0, bound) for _ in range(g)] + [1 << j] + [0] * (k - g - 1))
+        for g, size in enumerate(sizes)
+        for j in range(size)
+    ]
+    rng.shuffle(vectors)
+    return VectorSequence(n, k, bound, tuple(vectors))
+
+
+@pytest.mark.parametrize("k", [2, 3])
+def test_block_triangular_inputs_pass_at_verify_max_n(k):
+    # The full pair count refuses these halves, and the walk would see 2^22
+    # of the 2^30 sums without a repeat; the blocks prove them distinct.
+    seq = _block_triangular(random.Random(1), VERIFY_MAX_N, k)
+    with pytest.raises(BudgetExceededError):
+        _zero_sum_signs(seq)
+    with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
+        assert verify_distinct(seq) is None
+
+
+def test_wide_block_inputs_pass_without_the_walk():
+    # Radix (2^40 (2^15 - 1) + 1)^2 > 2^63: the pair count cannot pack
+    # these, and the walk would see 2^22 of the 2^30 sums without a repeat.
+    vectors = tuple(v for j in range(15) for v in ((1 << 40 + j, 0), (0, 1 << 40 + j)))
+    seq = VectorSequence(30, 2, 1 << 54, vectors)
+    with (
+        mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError),
+        mock.patch("dsslab.sequences._gray_first_collision", side_effect=AssertionError),
+    ):
+        assert verify_distinct(seq) is None
+
+
+def test_pigeonhole_gated_inputs_skip_the_peeled_route():
+    # The screen benchmark's candidates: n = 24 at the pigeonhole limit.
+    rng = np.random.default_rng(2424)
+    with mock.patch("dsslab.sequences._peeled_distinct", side_effect=AssertionError):
+        for trial in range(10):
+            k = 1 + trial % 2
+            seq = random_sequence(rng, 24, k, {1: 699_050, 2: 170}[k])
+            assert _mixed_radix(seq)[1] < 1 << 24
+            assert verify_distinct(seq) is not None
+
+
 def test_verify_budget_cap():
     seq = VectorSequence(31, 1, 1, ((1,),) * 31)
     with pytest.raises(BudgetExceededError):
@@ -583,8 +700,8 @@ def test_baseline_validation():
 
 
 def test_baseline_always_verifies():
-    for n in range(1, 11):
-        for k in range(1, 5):
+    for n in range(1, VERIFY_MAX_N + 1):
+        for k in range(1, 7):
             seq = baseline_construction(n, k)
             assert seq.bound == 2 ** (-(-n // k) - 1)
             assert verify_distinct(seq) is None, (n, k)

@@ -11,7 +11,10 @@ enter by their length and the hash of their int64 bytes. The calls:
 - signed_sum_distribution with both sign sets, at budgets 1..64 and
   2^8, 2^12, 2^16, 2^20 and 2^22 (the default), including inputs the
   default budget refuses;
-- verify_distinct for n <= 22, on sequences that collide and that do not;
+- verify_distinct for n <= 22, on sequences that collide and that do not,
+  and on block-structured ones (baseline_construction's for n <= 26,
+  seeded block-triangular and Conway-Guy block-diagonal for n <= 24),
+  each also with one component changed so that it collides;
 - exact_moment for p = 1, 2, 3, at the default budget and at small ones;
 - lattice_shell_enumerate for k <= 8, p <= 5 and every n up to one past
   max_enumerable_n, at budgets 2^22 and 2^16;
@@ -43,6 +46,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import math
 import sys
 import tempfile
 from pathlib import Path
@@ -99,6 +103,8 @@ def _records(dsslab, tree: Path):
                 for _ in range(2):
                     seq = sequence(rng, n, k, bound)
                     yield call(("verify", seq), dsslab.verify_distinct, seq)
+    for seq in _block_inputs(dsslab):
+        yield call(("verify blocks", seq), dsslab.verify_distinct, seq)
 
     for trial in range(300):
         n, k = int(rng.integers(0, 27)), int(rng.integers(1, 4))
@@ -193,6 +199,57 @@ def _records(dsslab, tree: Path):
         for argv, _, _ in golden["cases"]:
             config = build_config([a.format(**paths) for a in argv])
             yield call(("cli golden", tuple(argv)), run, config)
+
+
+def _block_inputs(dsslab):
+    """Block-structured sequences, each followed by its colliding variant if it has one.
+
+    baseline_construction's vectors for n <= 26 and k <= 6, and seeded
+    block-triangular (group g: 2^j on coordinate g, seeded values below)
+    and Conway-Guy block-diagonal inputs for n <= 24. The variant sets the
+    third vector that is nonzero on one coordinate c alone to the sum of
+    the first two, so that it collides with them.
+    """
+
+    def conway_guy(n):
+        u = [0, 1]
+        for m in range(1, n):
+            u.append(2 * u[m] - u[m - round(math.sqrt(2 * m))])
+        return [u[n] - u[n - i] for i in range(1, n + 1)]
+
+    def blocks(rng, n, k, triangular):
+        sizes = [n // k + (g < n % k) for g in range(k)]
+        top = 1 << (max(sizes) - 1)
+        vectors = []
+        for g, size in enumerate(sizes):
+            values = [1 << j for j in range(size)] if triangular else conway_guy(size)
+            for v in values:
+                low = rng.integers(0, top + 1, size=g) if triangular else [0] * g
+                vectors.append(tuple(int(c) for c in low) + (v,) + (0,) * (k - g - 1))
+        vectors = tuple(vectors[i] for i in rng.permutation(n))
+        return dsslab.VectorSequence(n, k, max(map(max, vectors)), vectors)
+
+    def with_variant(seq):
+        yield seq
+        n, k, vectors = seq.n, seq.k, seq.vectors
+        for c in range(k):
+            pure = [i for i, vec in enumerate(vectors) if vec[c] and vec.count(0) == k - 1]
+            if len(pure) >= 3:
+                i, j, l = pure[:3]
+                changed = list(vectors)
+                changed[l] = tuple(vectors[i][c] + vectors[j][c] if t == c else 0 for t in range(k))
+                yield dsslab.VectorSequence(n, k, max(map(max, changed)), tuple(changed))
+                return
+
+    for n in range(1, 27):
+        for k in range(1, 7):
+            yield from with_variant(dsslab.baseline_construction(n, k))
+    rng = np.random.default_rng(2900)
+    for triangular in (True, False):
+        for n in (6, 10, 14, 18, 21, 24):
+            for k in (1, 2, 3, 4):
+                for _ in range(2):
+                    yield from with_variant(blocks(rng, n, k, triangular))
 
 
 def _encode(value) -> str:
