@@ -11,16 +11,16 @@ distinct exactly when that count is 1. Before the count,
 block-structured inputs are proved distinct coordinate by coordinate:
 grouped by their last nonzero coordinate, the vectors have distinct sums
 when every group's values on its coordinate do, which a superincreasing
-group shows at once and any other a k = 1 pair count; a group that fails
-this decides nothing and leaves the input to the full count. Only to
-name a collision does it walk subsets in Gray-code order, to the first
-repeat and within the DP's budget of 2^22 sums. The walk doubles its
-walked prefix level by level: the next 2^j packed sums, in the same
-radix, are the first 2^j in reverse, shifted by vector j, and they are
-looked up block by block in the walked sums kept sorted, 16 bytes per
-walked sum. The walk also settles the inputs that pigeonhole already
-condemns, those too wide to pack into int64 (on Python ints) and those
-whose halves pass the DP's budget.
+group shows at once; a group that is not superincreasing decides nothing
+and leaves the input to the full count. Only to name a collision does
+it walk subsets in Gray-code order, to the first repeat and within the
+DP's budget of 2^22 sums. The walk doubles its walked prefix level by
+level: the next 2^j packed sums, in the same radix, are the first 2^j
+in reverse, shifted by vector j, and they are looked up block by block
+in the walked sums kept sorted, 16 bytes per walked sum. The walk also
+settles the inputs that pigeonhole already condemns, those too wide to
+pack into int64 (on Python ints) and those whose halves pass the DP's
+budget.
 
 The searcher iterates M upward and runs a depth-first search over
 canonical candidate sequences per level, refuting each M below the
@@ -61,7 +61,7 @@ __all__ = [
 ]
 
 # Largest n verify_distinct accepts. Up to it, an input whose vectors,
-# grouped by their last nonzero coordinate, have distinct sums group by
+# grouped by their last nonzero coordinate, are superincreasing group by
 # group is decided by peeling (_peeled_distinct), as
 # baseline_construction(30, k) and block-triangular inputs are. Others go
 # to the pair count, whose half supports obey the DP's budget of 2^22
@@ -288,14 +288,10 @@ def _peeled_distinct(seq: VectorSequence) -> bool:
     its value on c. Two different subsets differ in some highest group;
     on that group's coordinate the groups below are zero and the groups
     above agree, so the two sums differ when that group's values have
-    distinct subset sums. Distinct groups thus make a distinct sequence.
-    A group is distinct when its sorted values are superincreasing, each
-    above the sum of those before it; otherwise, when there are two
-    groups or more, _zero_sum_signs decides it as a k = 1 sequence (a
-    single group would repeat the full count). False decides nothing: it
-    comes of a zero vector; a group whose sum S has S + 1 < 2^(size),
-    where pigeonhole makes it collide, or S >= 2^62; a group the pair
-    count refuses; or a group whose zero-sum count is not 1.
+    distinct subset sums. A group whose sorted values are superincreasing,
+    each above the sum of those before it, has them, so superincreasing
+    groups make a distinct sequence. False decides nothing: it comes of a
+    zero vector or of a group that is not superincreasing.
     """
     groups: dict[int, list[int]] = {}
     for vec in seq.vectors:
@@ -303,23 +299,11 @@ def _peeled_distinct(seq: VectorSequence) -> bool:
         if c is None:
             return False
         groups.setdefault(c, []).append(vec[c])
-    pending = []
     for values in groups.values():
-        total = sum(values)
-        if total + 1 < 1 << len(values) or total >= 1 << 62:
-            return False
         values.sort()
         if any(v <= s for v, s in zip(values, itertools.accumulate(values, initial=0))):
-            pending.append(values)
-    if pending and len(groups) == 1:
-        return False
-    try:
-        return all(
-            _zero_sum_signs(VectorSequence(len(v), 1, v[-1], tuple((x,) for x in v))) == 1
-            for v in pending
-        )
-    except BudgetExceededError:
-        return False
+            return False
+    return True
 
 
 def verify_distinct(seq: VectorSequence) -> Collision | None:
@@ -331,13 +315,14 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
     collision. The packed radix prod_j (S_j + 1) sends two kinds of input to
     the walk alone: below 2^n, pigeonhole forces a collision, and from 2^63
     on, the packed sums do not fit in int64. Past the pigeonhole gate, and
-    before either, _peeled_distinct may prove the sums distinct block by
-    block, at any radix; it returns None then and decides nothing otherwise,
-    so every collision and refusal comes from the routes after it. A half
-    whose support passes the DP budget sends the input to the walk as well,
-    and when the walk sees DEFAULT_TABLE_BUDGET sums, fewer than 2^n,
-    without a repeat, the half's refusal is raised; a walk that runs out on
-    its own raises its own. Both are BudgetExceededError.
+    before either, _peeled_distinct may prove the sums distinct from
+    superincreasing blocks, at any radix; None is returned then, and
+    otherwise it decides nothing, so every collision and refusal comes from
+    the routes after it. A half whose support passes the DP budget sends
+    the input to the walk as well, and when the walk sees
+    DEFAULT_TABLE_BUDGET sums, fewer than 2^n, without a repeat, the half's
+    refusal is raised; a walk that runs out on its own raises its own. Both
+    are BudgetExceededError.
     """
     if seq.n > VERIFY_MAX_N:
         raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import workloads
 from conftest import gray_first_collision_by_dict, random_sequence, subset_total
 from dsslab import (
     SEARCH_LIMITS,
@@ -445,10 +446,6 @@ def _counted(seq):
     return result, peeled, [call.args[0] for call in count.call_args_list]
 
 
-def _column(values):
-    return VectorSequence(len(values), 1, max(values), tuple((v,) for v in values))
-
-
 def test_peeled_route_cases():
     # A zero vector decides nothing: {0} and {0, 1} collide.
     seq = VectorSequence(3, 2, 4, ((1, 0), (0, 0), (0, 4)))
@@ -456,43 +453,35 @@ def test_peeled_route_cases():
     # One group of superincreasing values on coordinate 1 proves it alone.
     seq = VectorSequence(3, 2, 4, ((1, 1), (3, 2), (0, 4)))
     assert _counted(seq) == (None, True, [])
-    # One group that is not superincreasing is left to the full count: the
-    # Conway-Guy values 3, 5, 6, 7 have distinct sums.
+    # A group that is not superincreasing decides nothing, alone or beside
+    # another group, although the Conway-Guy values 3, 5, 6, 7 have
+    # distinct sums: the full count decides.
     seq = VectorSequence(4, 2, 7, ((1, 3), (0, 5), (2, 6), (1, 7)))
     assert _counted(seq) == (None, False, [seq])
-    # With two groups, that one is counted as a k = 1 sequence and proves it.
     seq = VectorSequence(5, 2, 7, ((0, 3), (0, 5), (0, 6), (0, 7), (1, 0)))
-    assert _counted(seq) == (None, True, [_column([3, 5, 6, 7])])
+    assert _counted(seq) == (None, False, [seq])
     # A group may collide (3 + 5 = 8 on coordinate 1) where the sequence
     # does not (1 + 2 != 4 on coordinate 0): the full count decides.
     seq = VectorSequence(4, 2, 8, ((1, 3), (2, 5), (4, 8), (8, 0)))
-    assert _counted(seq) == (None, False, [_column([3, 5, 8]), seq])
-    # A group sum of 2^62 decides nothing, superincreasing or not; the pair
-    # count decides below a radix of 2^63, the walk from there on.
-    seq = VectorSequence(2, 1, (1 << 62) - 1, ((1,), ((1 << 62) - 1,)))
     assert _counted(seq) == (None, False, [seq])
+    # Group sums of 2^62 and more: superincreasing groups decide at either
+    # radix route, below 2^63 and from there on; a group that is not
+    # superincreasing is left to the pair count.
+    seq = VectorSequence(2, 1, (1 << 62) - 1, ((1,), ((1 << 62) - 1,)))
+    assert _counted(seq) == (None, True, [])
     seq = VectorSequence(2, 2, 1 << 62, ((1 << 62, 0), (1, 1)))
-    assert _counted(seq) == (None, False, [])
-
-
-def _block_triangular(rng, n, k):
-    # Group g carries 2^j on coordinate g and seeded values below it.
-    sizes = [n // k + (g < n % k) for g in range(k)]
-    bound = 1 << (max(sizes) - 1)
-    vectors = [
-        tuple([rng.randint(0, bound) for _ in range(g)] + [1 << j] + [0] * (k - g - 1))
-        for g, size in enumerate(sizes)
-        for j in range(size)
-    ]
-    rng.shuffle(vectors)
-    return VectorSequence(n, k, bound, tuple(vectors))
+    assert _counted(seq) == (None, True, [])
+    seq = VectorSequence(3, 1, (1 << 61) + 2, tuple(((1 << 61) + d,) for d in range(3)))
+    assert _counted(seq) == (None, False, [seq])
 
 
 @pytest.mark.parametrize("k", [2, 3])
 def test_block_triangular_inputs_pass_at_verify_max_n(k):
-    # The full pair count refuses these halves, and the walk would see 2^22
-    # of the 2^30 sums without a repeat; the blocks prove them distinct.
-    seq = _block_triangular(random.Random(1), VERIFY_MAX_N, k)
+    # The certify benchmark's builder at n = 30. The full pair count
+    # refuses these halves, and the walk would see 2^22 of the 2^30 sums
+    # without a repeat; the blocks prove them distinct.
+    bound, vectors = workloads._block_triangular(random.Random(1), VERIFY_MAX_N, k)
+    seq = VectorSequence(VERIFY_MAX_N, k, bound, vectors)
     with pytest.raises(BudgetExceededError):
         _zero_sum_signs(seq)
     with mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError):
@@ -500,10 +489,11 @@ def test_block_triangular_inputs_pass_at_verify_max_n(k):
 
 
 def test_wide_block_inputs_pass_without_the_walk():
-    # Radix (2^40 (2^15 - 1) + 1)^2 > 2^63: the pair count cannot pack
-    # these, and the walk would see 2^22 of the 2^30 sums without a repeat.
-    vectors = tuple(v for j in range(15) for v in ((1 << 40 + j, 0), (0, 1 << 40 + j)))
-    seq = VectorSequence(30, 2, 1 << 54, vectors)
+    # Each group sums to 2^60 (2^15 - 1) >= 2^62, and the radix, that sum
+    # plus one squared, passes 2^63: the pair count cannot pack these, and
+    # the walk would see 2^22 of the 2^30 sums without a repeat.
+    vectors = tuple(v for j in range(15) for v in ((1 << 60 + j, 0), (0, 1 << 60 + j)))
+    seq = VectorSequence(30, 2, 1 << 74, vectors)
     with (
         mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError),
         mock.patch("dsslab.sequences._gray_first_collision", side_effect=AssertionError),

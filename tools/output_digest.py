@@ -2,11 +2,13 @@
 
 Usage: python tools/output_digest.py TREE
 
-Imports dsslab from TREE/src and prints `<records> <sha256>`: the number
-of records and one hash over all of them. A record is the repr of one
-seeded call's result, or of its refusal: (what, needed, budget) for a
-budget, the message for a ValueError or an OverflowError. Arrays
-enter by their length and the hash of their int64 bytes. The calls:
+Imports dsslab from TREE/src, and the benchmark's input builders from
+perfbench/workloads.py in this tool's own checkout, and prints
+`<records> <sha256>`: the number of records and one hash over all of
+them. A record is the repr of one seeded call's result, or of its
+refusal: (what, needed, budget) for a budget, the message for a
+ValueError or an OverflowError. Arrays enter by their length and the
+hash of their int64 bytes. The calls:
 
 - signed_sum_distribution with both sign sets, at budgets 1..64 and
   2^8, 2^12, 2^16, 2^20 and 2^22 (the default), including inputs the
@@ -46,7 +48,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import math
+import random
 import sys
 import tempfile
 from pathlib import Path
@@ -54,7 +56,7 @@ from pathlib import Path
 import numpy as np
 
 
-def _records(dsslab, tree: Path):
+def _records(dsslab, workloads, tree: Path):
     """Yield one (label, result) pair per call, a refusal standing in for its result."""
     from dsslab import SEARCH_LIMITS, BudgetExceededError, VectorSequence
     from dsslab.cli import RunConfig, build_config, run
@@ -103,7 +105,7 @@ def _records(dsslab, tree: Path):
                 for _ in range(2):
                     seq = sequence(rng, n, k, bound)
                     yield call(("verify", seq), dsslab.verify_distinct, seq)
-    for seq in _block_inputs(dsslab):
+    for seq in _block_inputs(dsslab, workloads):
         yield call(("verify blocks", seq), dsslab.verify_distinct, seq)
 
     for trial in range(300):
@@ -201,33 +203,31 @@ def _records(dsslab, tree: Path):
             yield call(("cli golden", tuple(argv)), run, config)
 
 
-def _block_inputs(dsslab):
+def _block_inputs(dsslab, workloads):
     """Block-structured sequences, each followed by its colliding variant if it has one.
 
     baseline_construction's vectors for n <= 26 and k <= 6, and seeded
-    block-triangular (group g: 2^j on coordinate g, seeded values below)
-    and Conway-Guy block-diagonal inputs for n <= 24. The variant sets the
-    third vector that is nonzero on one coordinate c alone to the sum of
-    the first two, so that it collides with them.
+    block-triangular inputs (the certify benchmark's builder: group g holds
+    2^j on coordinate g and seeded values below it) and Conway-Guy
+    block-diagonal inputs for n <= 24. The variant sets the third vector
+    that is nonzero on one coordinate c alone to the sum of the first two,
+    so that it collides with them.
     """
 
-    def conway_guy(n):
-        u = [0, 1]
-        for m in range(1, n):
-            u.append(2 * u[m] - u[m - round(math.sqrt(2 * m))])
-        return [u[n] - u[n - i] for i in range(1, n + 1)]
+    def triangular(rng, n, k):
+        bound, vectors = workloads._block_triangular(rng, n, k)
+        return dsslab.VectorSequence(n, k, bound, vectors)
 
-    def blocks(rng, n, k, triangular):
+    def diagonal(rng, n, k):
+        # Group g holds the Conway-Guy set of its size on coordinate g alone.
         sizes = [n // k + (g < n % k) for g in range(k)]
-        top = 1 << (max(sizes) - 1)
-        vectors = []
-        for g, size in enumerate(sizes):
-            values = [1 << j for j in range(size)] if triangular else conway_guy(size)
-            for v in values:
-                low = rng.integers(0, top + 1, size=g) if triangular else [0] * g
-                vectors.append(tuple(int(c) for c in low) + (v,) + (0,) * (k - g - 1))
-        vectors = tuple(vectors[i] for i in rng.permutation(n))
-        return dsslab.VectorSequence(n, k, max(map(max, vectors)), vectors)
+        vectors = [
+            tuple(v if t == g else 0 for t in range(k))
+            for g, size in enumerate(sizes)
+            for v in workloads.conway_guy(size)
+        ]
+        rng.shuffle(vectors)
+        return dsslab.VectorSequence(n, k, max(map(max, vectors)), tuple(vectors))
 
     def with_variant(seq):
         yield seq
@@ -244,12 +244,12 @@ def _block_inputs(dsslab):
     for n in range(1, 27):
         for k in range(1, 7):
             yield from with_variant(dsslab.baseline_construction(n, k))
-    rng = np.random.default_rng(2900)
-    for triangular in (True, False):
+    rng = random.Random(2900)
+    for blocks in (triangular, diagonal):
         for n in (6, 10, 14, 18, 21, 24):
             for k in (1, 2, 3, 4):
                 for _ in range(2):
-                    yield from with_variant(blocks(rng, n, k, triangular))
+                    yield from with_variant(blocks(rng, n, k))
 
 
 def _encode(value) -> str:
@@ -271,10 +271,12 @@ def main(argv: list[str]) -> int:
         return 2
     tree = Path(argv[1]).resolve()
     sys.path.insert(0, str(tree / "src"))
+    sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "perfbench"))
     import dsslab
+    import workloads
 
     digest, records = hashlib.sha256(), 0
-    for label, result in _records(dsslab, tree):
+    for label, result in _records(dsslab, workloads, tree):
         digest.update(f"{_encode(label)} -> {_encode(result)}\n".encode())
         records += 1
     print(records, digest.hexdigest())
