@@ -60,11 +60,11 @@ __all__ = [
     "bound_vs_search_report",
 ]
 
-# Largest n verify_distinct accepts. Up to it, an input whose vectors,
+# Largest n verify_distinct counts or walks. An input whose vectors,
 # grouped by their last nonzero coordinate, are superincreasing group by
-# group is decided by peeling (_peeled_distinct), as
-# baseline_construction(30, k) and block-triangular inputs are. Others go
-# to the pair count, whose half supports obey the DP's budget of 2^22
+# group is decided by peeling (_peeled_distinct) at any n, as
+# baseline_construction(n, k) and block-triangular inputs are; past this n
+# every other input is refused. Up to it, others go to the pair count, whose half supports obey the DP's budget of 2^22
 # entries: every input up to n = 26 fits (3^13 entries a half), and
 # longer ones fit when their half sums fold. The rest go to the Gray
 # walk, and are refused unless it finds a repeat within its budget: it
@@ -316,19 +316,20 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
     the walk alone: below 2^n, pigeonhole forces a collision, and from 2^63
     on, the packed sums do not fit in int64. Past the pigeonhole gate, and
     before either, _peeled_distinct may prove the sums distinct from
-    superincreasing blocks, at any radix; None is returned then, and
-    otherwise it decides nothing, so every collision and refusal comes from
-    the routes after it. A half whose support passes the DP budget sends
+    superincreasing blocks, at any radix and any n; None is returned then,
+    and otherwise it decides nothing, so every collision and refusal comes
+    from the routes after it. Past VERIFY_MAX_N, an input it leaves
+    undecided is refused, before any count or walk. A half whose support passes the DP budget sends
     the input to the walk as well, and when the walk sees
     DEFAULT_TABLE_BUDGET sums, fewer than 2^n, without a repeat, the half's
     refusal is raised; a walk that runs out on its own raises its own. Both
     are BudgetExceededError.
     """
-    if seq.n > VERIFY_MAX_N:
-        raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)
     radix = _mixed_radix(seq)[1]
     if radix >= 1 << seq.n and _peeled_distinct(seq):
         return None
+    if seq.n > VERIFY_MAX_N:
+        raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)
     if 1 << seq.n <= radix < 1 << 63:
         try:
             if _zero_sum_signs(seq) == 1:

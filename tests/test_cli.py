@@ -295,6 +295,14 @@ def test_verify_exit_codes(good_file, bad_file):
     }
 
 
+def test_verify_passes_peeled_input_past_verify_max_n(tmp_path):
+    path = tmp_path / "baseline64.seq"
+    path.write_text(sequences.baseline_construction(64, 4).to_text())
+    res = run(build_config(["verify", "--file", str(path), "--format", "json"]))
+    assert res.code == 0
+    assert json.loads(res.stdout)["status"] == "pass"
+
+
 def test_verify_rejects_extra_vector_lines(tmp_path, capsys):
     # A third vector line in a file declaring n = 2 is a usage error, not
     # silently dropped: dropped, it hides the collision of 1 with the first.

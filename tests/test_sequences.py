@@ -518,6 +518,33 @@ def test_verify_budget_cap():
         verify_distinct(seq)
 
 
+@pytest.mark.parametrize(("n", "k"), [(31, 2), (64, 4), (1000, 100)])
+def test_peeled_inputs_pass_past_verify_max_n(n, k):
+    # Superincreasing blocks decide these at any n, with no count or walk.
+    with (
+        mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError),
+        mock.patch("dsslab.sequences._gray_first_collision", side_effect=AssertionError),
+    ):
+        assert verify_distinct(baseline_construction(n, k)) is None
+
+
+def test_undecided_inputs_past_verify_max_n_keep_their_refusal():
+    # 2, 4, ..., 2^30 and 3: the radix passes 2^31, but sorted, 4 <= 2 + 3
+    # is not superincreasing, so the peel decides nothing.
+    seq = VectorSequence(31, 1, 1 << 30, tuple((v,) for v in [1 << i for i in range(1, 31)] + [3]))
+    assert _mixed_radix(seq)[1] >= 1 << 31
+    assert not _peeled_distinct(seq)
+    with (
+        mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError),
+        mock.patch("dsslab.sequences._gray_first_collision", side_effect=AssertionError),
+        pytest.raises(BudgetExceededError) as refusal,
+    ):
+        verify_distinct(seq)
+    assert (refusal.value.what, refusal.value.needed, refusal.value.budget) == (
+        "subset enumeration", 1 << 31, 1 << VERIFY_MAX_N,
+    )
+
+
 def test_search_known_values():
     expected = {(1, 1): 1, (2, 1): 2, (3, 1): 4, (4, 1): 7, (3, 2): 2}
     for (n, k), m in expected.items():

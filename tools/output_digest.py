@@ -16,7 +16,9 @@ hash of their int64 bytes. The calls:
 - verify_distinct for n <= 22, on sequences that collide and that do not,
   and on block-structured ones (baseline_construction's for n <= 26,
   seeded block-triangular and Conway-Guy block-diagonal for n <= 24),
-  each also with one component changed so that it collides;
+  each also with one component changed so that it collides; and past
+  n = 30, on baseline_construction's for n = 31..40 and k = 2..6 and on
+  one input whose blocks decide nothing;
 - exact_moment for p = 1, 2, 3, at the default budget and at small ones;
 - lattice_shell_enumerate for k <= 8, p <= 5 and every n up to one past
   max_enumerable_n, at budgets 2^22 and 2^16;
@@ -107,6 +109,14 @@ def _records(dsslab, workloads, tree: Path):
                     yield call(("verify", seq), dsslab.verify_distinct, seq)
     for seq in _block_inputs(dsslab, workloads):
         yield call(("verify blocks", seq), dsslab.verify_distinct, seq)
+    # Past VERIFY_MAX_N the peel decides baseline_construction's inputs, and
+    # the rest are refused: sorted, 2, 3, 4, ..., 2^30 is not superincreasing.
+    for n in range(31, 41):
+        for k in range(2, 7):
+            seq = dsslab.baseline_construction(n, k)
+            yield call(("verify long", seq), dsslab.verify_distinct, seq)
+    seq = VectorSequence(31, 1, 1 << 30, tuple((v,) for v in [1 << i for i in range(1, 31)] + [3]))
+    yield call(("verify long", seq), dsslab.verify_distinct, seq)
 
     for trial in range(300):
         n, k = int(rng.integers(0, 27)), int(rng.integers(1, 4))
