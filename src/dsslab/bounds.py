@@ -41,7 +41,7 @@ import math
 from dataclasses import dataclass
 
 from .combinatorics import closed_form_s1, closed_form_s3
-from .pnorm import GAMMA_DOMAIN, gamma_fn, gamma_root, radius_for_count
+from .pnorm import GAMMA_DOMAIN, _check_k, gamma_fn, gamma_root, radius_for_count
 
 __all__ = [
     "METHOD_FIRST",
@@ -66,11 +66,6 @@ METHOD_TOKENS = (METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE)
 # Moment order p of each method. Insertion order is the tie-break order of
 # best_method: ties go to the lower p.
 _ORDER = {METHOD_FIRST: 1, METHOD_VARIANCE: 2, METHOD_THIRD: 3}
-
-
-def _check_k(k: int) -> None:
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
 
 
 @functools.cache

@@ -13,36 +13,17 @@ the 2^p scaling inside the integer makes every identity here exact.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "ScaledMomentSum",
     "scaled_abs_moment_sum",
     "closed_form_s1",
     "closed_form_s3",
 ]
 
 
-@dataclass(frozen=True)
-class ScaledMomentSum:
-    """The integer T_p(n) together with its parameters.
-
-    value = T_p(n) = 2^p * S_p(n). The `scaled` property recovers the
-    half-integer-grid sum S_p(n) as an exact rational.
-    """
-
-    n: int
-    p: int
-    value: int
-
-    @property
-    def scaled(self) -> Fraction:
-        return Fraction(self.value, 2**self.p)
-
-
-def scaled_abs_moment_sum(n: int, p: int) -> ScaledMomentSum:
-    """T_p(n) by direct summation.
+def scaled_abs_moment_sum(n: int, p: int) -> int:
+    """T_p(n) = 2^p * S_p(n) by direct summation, as an int.
 
     Direct O(n) evaluation; n is desk-scale here so no recurrence is
     needed. Accepts any positive integer p, not just the orders the
@@ -57,13 +38,13 @@ def scaled_abs_moment_sum(n: int, p: int) -> ScaledMomentSum:
     total = 0
     for i in range(n + 1):
         total += math.comb(n, i) * abs(n - 2 * i) ** p
-    return ScaledMomentSum(n=n, p=p, value=total)
+    return total
 
 
 def closed_form_s1(n: int) -> Fraction:
     """S_1(n) = n * C(n-1, floor((n-1)/2)), exactly.
 
-    Agrees with scaled_abs_moment_sum(n, 1).value / 2 for every n >= 1.
+    Agrees with scaled_abs_moment_sum(n, 1) / 2 for every n >= 1.
     """
     if n < 1:
         raise ValueError(f"closed form requires n >= 1, got {n}")
@@ -76,7 +57,7 @@ def closed_form_s3(n: int) -> Fraction:
     Even n:  n! / ((n/2 - 1)!)^2
     Odd n:   n! * (2n - 1) / (4 * (((n-1)/2)!)^2)
 
-    Agrees with scaled_abs_moment_sum(n, 3).value / 8 for every n >= 1.
+    Agrees with scaled_abs_moment_sum(n, 3) / 8 for every n >= 1.
     """
     if n < 1:
         raise ValueError(f"closed form requires n >= 1, got {n}")

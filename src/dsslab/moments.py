@@ -410,7 +410,7 @@ def _sign_tables(seq: VectorSequence) -> list[np.ndarray]:
     for start in range(0, seq.n, 8):
         run = seq.vectors[start : start + 8]
         bits = np.arange(1 << len(run))[:, None] >> np.arange(len(run)) & 1
-        wide = max(map(sum, zip(*run)), default=0) > _INT64_MAX
+        wide = max(map(sum, zip(*run))) > _INT64_MAX
         entries = np.array(run, dtype=object if wide else np.int64)
         tables.append(((2 * bits - 1) @ entries / 2).astype(np.float64))
     return tables

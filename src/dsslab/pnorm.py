@@ -105,13 +105,17 @@ def gamma_root(x: float, r: int) -> float:
         return math.exp(math.lgamma(x) / r)
 
 
+def _check_k(k: int) -> None:
+    if k < 1:
+        raise ValueError(f"dimension must be >= 1, got {k}")
+
+
 def ball_volume(k: int, p: int, r: float) -> float:
     """Volume of {x in R^k : ||x||_p <= r}.
 
     V = (2 Gamma(1 + 1/p))^k / Gamma(1 + k/p) * r^k.
     """
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
+    _check_k(k)
     if p < 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
     if r < 0:
@@ -131,8 +135,7 @@ def radius_for_count(n: int, k: int, p: int) -> float:
     """
     if n < 0:
         raise ValueError(f"count exponent must be nonnegative, got {n}")
-    if k < 1:
-        raise ValueError(f"dimension must be >= 1, got {k}")
+    _check_k(k)
     if p < 1:
         raise ValueError(f"norm exponent must be >= 1, got {p}")
     root, denominator = _radius_gammas(k, p)

@@ -64,13 +64,14 @@ __all__ = [
 # grouped by their last nonzero coordinate, are superincreasing group by
 # group is decided by peeling (_peeled_distinct) at any n, as
 # baseline_construction(n, k) and block-triangular inputs are; past this n
-# every other input is refused. Up to it, others go to the pair count, whose half supports obey the DP's budget of 2^22
-# entries: every input up to n = 26 fits (3^13 entries a half), and
-# longer ones fit when their half sums fold. The rest go to the Gray
-# walk, and are refused unless it finds a repeat within its budget: it
-# looks at no more than 2^22 sums. It holds at most 2^21 of them, in
-# int64, in step order and sorted (32 MB), and a full 2^22-sum walk peaks
-# 57 MB above the interpreter while merging its last level.
+# every other input is refused. Up to it, others go to the pair count,
+# whose half supports obey the DP's budget of 2^22 entries: every input up
+# to n = 26 fits (3^13 entries a half), and longer ones fit when their half
+# sums fold. The rest go to the Gray walk, and are refused unless it finds
+# a repeat within its budget: it looks at no more than 2^22 sums. It holds
+# at most 2^21 of them, in int64, in step order and sorted (32 MB), and a
+# full 2^22-sum walk peaks 57 MB above the interpreter while merging its
+# last level.
 VERIFY_MAX_N = 30
 
 # Search nodes are candidate vector placements; one node per attempt.

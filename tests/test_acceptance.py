@@ -72,9 +72,9 @@ def test_criterion_01_exact_identity_suite():
     t0 = time.perf_counter()
     bad = []
     for n in range(1, 65):
-        if closed_form_s1(n) != Fraction(scaled_abs_moment_sum(n, 1).value, 2):
+        if closed_form_s1(n) != Fraction(scaled_abs_moment_sum(n, 1), 2):
             bad.append((n, 1))
-        if closed_form_s3(n) != Fraction(scaled_abs_moment_sum(n, 3).value, 8):
+        if closed_form_s3(n) != Fraction(scaled_abs_moment_sum(n, 3), 8):
             bad.append((n, 3))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 1.0

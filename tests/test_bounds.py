@@ -157,7 +157,7 @@ def test_finite_form_unchanged_by_scaling_out_two_to_the_n():
     # unscaled form gave 0 where (k + p) * T_p(n) passed the float range.
     for p, k in itertools.product((1, 3), (1, 2, 10, 200)):
         for n in (*range(1, 41), *range(995, 1009)):
-            denominator = (k + p) * float(scaled_abs_moment_sum(n, p).value)
+            denominator = (k + p) * float(scaled_abs_moment_sum(n, p))
             got = _finite(n, k, p)
             if denominator < math.inf:
                 want = radius_for_count(n, k, p) * (2.0 ** (n + p) / denominator) ** (1.0 / p)
@@ -185,9 +185,9 @@ def test_lower_bound_validation():
         lower_bound(0, 1, METHOD_FIRST)
     with pytest.raises(ValueError):
         lower_bound(4, 1, "median")
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
         lower_bound(4, 0, METHOD_FIRST)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
         coeff(1, 0)
     with pytest.raises(ValueError):
         coeff(0, 3)
@@ -216,6 +216,8 @@ def test_published_regime_branches():
     assert [published_regime(k) for k in (1, 4)] == [METHOD_FIRST, METHOD_FIRST]
     assert [published_regime(k) for k in (5, 6)] == [METHOD_THIRD, METHOD_THIRD]
     assert published_regime(7) == METHOD_VARIANCE
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
+        published_regime(0)
 
 
 def test_regime_disagreements_pinned():

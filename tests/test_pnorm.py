@@ -124,13 +124,17 @@ def test_ball_volume_scales_with_radius():
 
 
 def test_ball_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="dimension must be >= 1, got 0"):
         ball_volume(0, 2, 1.0)
     with pytest.raises(ValueError):
         ball_volume(2, 2, -1.0)
     with pytest.raises(ValueError, match="norm exponent"):
         ball_volume(2, 0, 1.0)
-    for n, k, p, what in ((-1, 2, 2, "count exponent"), (3, 0, 2, "dimension"), (3, 2, 0, "norm exponent")):
+    for n, k, p, what in (
+        (-1, 2, 2, "count exponent"),
+        (3, 0, 2, "dimension must be >= 1, got 0"),
+        (3, 2, 0, "norm exponent"),
+    ):
         with pytest.raises(ValueError, match=what):
             radius_for_count(n, k, p)
 
