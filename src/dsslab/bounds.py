@@ -15,8 +15,8 @@ moment):
     E|Z|^p = 2^(p/2) * Gamma((p + 1)/2) / sqrt(pi)   (Z standard normal).
 
 The finite-n counterpart, given for the first and third moments, replaces
-the normal moment by the exact sum T_p(n) = 2^p * S_p(n), taken from the
-closed forms combinatorics.closed_form_s1 and closed_form_s3:
+the normal moment by the exact integer sum T_p(n) = sum C(n,i) |n - 2i|^p,
+taken from its closed form combinatorics.closed_form_sum(n, p):
 
     M >= R * (2^(n+p) / ((k + p) * T_p(n)))^(1/p),   R = radius_for_count(n, k, p).
 
@@ -40,8 +40,8 @@ import functools
 import math
 from dataclasses import dataclass
 
-from .combinatorics import closed_form_s1, closed_form_s3
-from .pnorm import GAMMA_DOMAIN, _check_k, gamma_fn, gamma_root, radius_for_count
+from .combinatorics import closed_form_sum
+from .pnorm import GAMMA_DOMAIN, _check_k, _radius_gammas, gamma_fn, radius_for_count
 
 __all__ = [
     "METHOD_FIRST",
@@ -90,7 +90,7 @@ def coeff(p: int, k: int) -> float:
     if 1.0 + k / p > GAMMA_DOMAIN[1]:
         largest = int((GAMMA_DOMAIN[1] - 1.0) * p)
         raise ValueError(f"k={k} is too large for moment order p={p}: that order allows k <= {largest}")
-    return gamma_root(1.0 + k / p, k) / (_k_free_factor(p) * (k + p) ** (1.0 / p))
+    return _radius_gammas(k, p)[0] / (_k_free_factor(p) * (k + p) ** (1.0 / p))
 
 
 @dataclass(frozen=True)
@@ -107,18 +107,18 @@ class BoundReport:
 
     method: str
     k: int
-    n: int | None
+    n: int
     coefficient: float
-    asymptotic_bound: float | None
+    asymptotic_bound: float
     finite_bound: float | None
 
 
 def _finite(n: int, k: int, p: int) -> float:
-    # p is 1 or 3, and T_p(n) = 2^p * S_p(n) is an integer. T_p(n) / 2^n,
-    # correctly rounded by int division, stays in the float range long
-    # after T_p(n) leaves it; scaling by the exact power 2^-n leaves every
-    # rounding as it was.
-    mean = int(2**p * (closed_form_s1 if p == 1 else closed_form_s3)(n)) / (1 << n)
+    # p is 1 or 3, and T_p(n) is an integer. T_p(n) / 2^n, correctly
+    # rounded by int division, stays in the float range long after T_p(n)
+    # leaves it; scaling by the exact power 2^-n leaves every rounding as
+    # it was.
+    mean = closed_form_sum(n, p) / (1 << n)
     return radius_for_count(n, k, p) * (2.0**p / ((k + p) * mean)) ** (1.0 / p)
 
 

@@ -1,6 +1,6 @@
 """Exact absolute central moment sums of the binomial distribution.
 
-Everything in this module is integer or rational arithmetic, no floats.
+Everything in this module is integer arithmetic, no floats.
 The central objects are the scaled sums
 
     T_p(n) = sum_{i=0}^{n} C(n,i) * |n - 2i|^p
@@ -13,12 +13,10 @@ the 2^p scaling inside the integer makes every identity here exact.
 from __future__ import annotations
 
 import math
-from fractions import Fraction
 
 __all__ = [
     "scaled_abs_moment_sum",
-    "closed_form_s1",
-    "closed_form_s3",
+    "closed_form_sum",
 ]
 
 
@@ -41,28 +39,20 @@ def scaled_abs_moment_sum(n: int, p: int) -> int:
     return total
 
 
-def closed_form_s1(n: int) -> Fraction:
-    """S_1(n) = n * C(n-1, floor((n-1)/2)), exactly.
+def closed_form_sum(n: int, p: int) -> int:
+    """T_p(n) in closed form, as an int, for p in {1, 3}.
 
-    Agrees with scaled_abs_moment_sum(n, 1) / 2 for every n >= 1.
+    T_1(n)      = 2n * C(n-1, floor((n-1)/2))
+    T_3(2m)     = 8m^2 * C(2m, m)
+    T_3(2m + 1) = 2(4m + 1)(2m + 1) * C(2m, m)
+
+    Agrees with scaled_abs_moment_sum(n, p) for every n >= 1.
     """
+    if p not in (1, 3):
+        raise ValueError(f"closed forms exist for p in {{1, 3}}, got {p}")
     if n < 1:
         raise ValueError(f"closed form requires n >= 1, got {n}")
-    return Fraction(n * math.comb(n - 1, (n - 1) // 2))
-
-
-def closed_form_s3(n: int) -> Fraction:
-    """S_3(n) in closed form, exactly.
-
-    Even n:  n! / ((n/2 - 1)!)^2
-    Odd n:   n! * (2n - 1) / (4 * (((n-1)/2)!)^2)
-
-    Agrees with scaled_abs_moment_sum(n, 3) / 8 for every n >= 1.
-    """
-    if n < 1:
-        raise ValueError(f"closed form requires n >= 1, got {n}")
-    if n % 2 == 0:
-        half = math.factorial(n // 2 - 1)
-        return Fraction(math.factorial(n), half * half)
-    half = math.factorial((n - 1) // 2)
-    return Fraction(math.factorial(n) * (2 * n - 1), 4 * half * half)
+    if p == 1:
+        return 2 * n * math.comb(n - 1, (n - 1) // 2)
+    m = n // 2
+    return (8 * m * m if n % 2 == 0 else 2 * (4 * m + 1) * n) * math.comb(2 * m, m)

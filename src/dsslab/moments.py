@@ -40,7 +40,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .combinatorics import closed_form_s1, closed_form_s3
+from .combinatorics import closed_form_sum
 from .errors import BudgetExceededError
 
 if TYPE_CHECKING:
@@ -379,20 +379,15 @@ def exact_moment(seq: VectorSequence, p: int, budget: int = DEFAULT_TABLE_BUDGET
 def extremal_moment(n: int, k: int, bound: int, p: int) -> MomentValue:
     """Closed form of E[||X||_p^p] for the all-components-equal-M sequence.
 
-    k * M^p * S_p(n) / 2^n for p in {1, 3}, where S_p comes from the exact
-    closed forms. This is the extremal configuration the moment chains
-    compare against.
+    k * M^p * T_p(n) / 2^(n+p) for p in {1, 3}, where the integer T_p(n)
+    comes from combinatorics.closed_form_sum. This is the extremal
+    configuration the moment chains compare against.
     """
     if n < 1 or k < 1 or bound < 0:
         raise ValueError(f"bad shape: n={n}, k={k}, bound={bound}")
-    if p == 1:
-        s = closed_form_s1(n)
-    elif p == 3:
-        s = closed_form_s3(n)
-    else:
-        raise ValueError(f"closed forms exist for p in {{1, 3}}, got {p}")
+    t = closed_form_sum(n, p)
     p = int(p)
-    value = Fraction(k) * bound**p * s / (1 << n)
+    value = Fraction(k * bound**p * t, 1 << (n + p))
     return MomentValue(p=p, value=value, provenance="closed_form", stderr=None, samples=None)
 
 

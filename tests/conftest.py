@@ -11,11 +11,11 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import math
 
 import numpy as np
 from hypothesis import settings
 
+import workloads
 from dsslab import (
     METHOD_FIRST,
     METHOD_THIRD,
@@ -24,8 +24,7 @@ from dsslab import (
     MomentValue,
     SignedSumDistribution,
     VectorSequence,
-    closed_form_s1,
-    closed_form_s3,
+    closed_form_sum,
     iter_gray_subset_sums,
     radius_for_count,
 )
@@ -77,13 +76,13 @@ def gray_first_collision_by_dict(seq: VectorSequence, budget: int) -> Collision 
 
 
 def recomputed_finite_bound(n: int, k: int, method: str) -> float | None:
-    """A finite-form bound rebuilt from radius_for_count and the S1/S3 closed
+    """A finite-form bound rebuilt from radius_for_count and the T_1/T_3 closed
     forms, independently of dsslab.bounds; None for the variance method."""
     if method == METHOD_FIRST:
-        return radius_for_count(n, k, 1) * 2.0**n / ((k + 1) * float(closed_form_s1(n)))
+        return radius_for_count(n, k, 1) * 2.0 ** (n + 1) / ((k + 1) * float(closed_form_sum(n, 1)))
     if method == METHOD_THIRD:
         return radius_for_count(n, k, 3) * (
-            2.0 ** (n + 3) / ((k + 3) * 8.0 * float(closed_form_s3(n)))
+            2.0 ** (n + 3) / ((k + 3) * float(closed_form_sum(n, 3)))
         ) ** (1.0 / 3.0)
     return None
 
@@ -99,10 +98,7 @@ def conway_guy(n: int) -> VectorSequence:
     """The Conway-Guy set {u_n - u_(n-i) : 1 <= i <= n} as a k = 1 sequence;
     its 2^n subset sums are distinct (Bohman 1996), so each coordinate's
     signed-sum support has all 2^n entries."""
-    u = [0, 1]
-    for m in range(1, n):
-        u.append(2 * u[m] - u[m - round(math.sqrt(2 * m))])
-    values = [u[n] - u[n - i] for i in range(1, n + 1)]
+    values = workloads.conway_guy(n)
     return VectorSequence(n, 1, max(values, default=0), tuple((v,) for v in values))
 
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import itertools
 import time
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -41,8 +40,7 @@ from dsslab import (
     baseline_construction,
     best_method,
     bound_vs_search_report,
-    closed_form_s1,
-    closed_form_s3,
+    closed_form_sum,
     coeff,
     convexity_probe,
     crossover_table,
@@ -72,13 +70,13 @@ def test_criterion_01_exact_identity_suite():
     t0 = time.perf_counter()
     bad = []
     for n in range(1, 65):
-        if closed_form_s1(n) != Fraction(scaled_abs_moment_sum(n, 1), 2):
+        if closed_form_sum(n, 1) != scaled_abs_moment_sum(n, 1):
             bad.append((n, 1))
-        if closed_form_s3(n) != Fraction(scaled_abs_moment_sum(n, 3), 8):
+        if closed_form_sum(n, 3) != scaled_abs_moment_sum(n, 3):
             bad.append((n, 3))
     elapsed = time.perf_counter() - t0
     ok = not bad and elapsed < 1.0
-    line = _verdict(1, ok, f"S1/S3 closed forms exact for n <= 64 ({elapsed:.2f}s)")
+    line = _verdict(1, ok, f"T_1/T_3 closed forms exact for n <= 64 ({elapsed:.2f}s)")
     assert ok, f"{line}; mismatches={bad}"
 
 

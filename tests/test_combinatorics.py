@@ -1,4 +1,4 @@
-"""The signed-sum power sums T_p(n) and the closed forms of S1, S3."""
+"""The signed-sum power sums T_p(n) and their closed forms at p = 1 and p = 3."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from conftest import typed_fields
-from dsslab import closed_form_s1, closed_form_s3, scaled_abs_moment_sum
+from dsslab import closed_form_sum, scaled_abs_moment_sum
 
 
 def test_scaled_abs_moment_sum_examples():
@@ -63,42 +63,45 @@ def test_scaled_property():
     assert Fraction(scaled_abs_moment_sum(3, 3), 8) == Fraction(15, 2)
 
 
-def test_closed_form_s1_examples():
-    assert closed_form_s1(1) == 1
-    assert closed_form_s1(2) == 2
-    assert closed_form_s1(3) == 6
-    assert closed_form_s1(4) == 12
+def test_closed_form_sum_p1_examples():
+    assert [closed_form_sum(n, 1) for n in (1, 2, 3, 4)] == [2, 4, 12, 24]
+    assert typed_fields(closed_form_sum(4, 1)) == [(int, 24)]
 
 
-def test_closed_form_s3_examples():
-    assert closed_form_s3(1) == Fraction(1, 4)
-    assert closed_form_s3(3) == Fraction(15, 2)
-    assert closed_form_s3(4) == 24
+def test_closed_form_sum_p3_examples():
+    assert [closed_form_sum(n, 3) for n in (1, 3, 4)] == [2, 60, 192]
+    assert typed_fields(closed_form_sum(3, 3)) == [(int, 60)]
 
 
 def test_closed_forms_reject_n_zero():
     with pytest.raises(ValueError):
-        closed_form_s1(0)
+        closed_form_sum(0, 1)
     with pytest.raises(ValueError):
-        closed_form_s3(0)
+        closed_form_sum(0, 3)
+
+
+def test_closed_forms_refuse_other_orders():
+    with pytest.raises(ValueError) as err:
+        closed_form_sum(4, 2)
+    assert str(err.value) == "closed forms exist for p in {1, 3}, got 2"
 
 
 def test_closed_forms_match_power_sums_to_64():
     for n in range(1, 65):
-        assert closed_form_s1(n) == Fraction(scaled_abs_moment_sum(n, 1), 2)
-        assert closed_form_s3(n) == Fraction(scaled_abs_moment_sum(n, 3), 8)
+        assert closed_form_sum(n, 1) == scaled_abs_moment_sum(n, 1)
+        assert closed_form_sum(n, 3) == scaled_abs_moment_sum(n, 3)
 
 
-def test_closed_form_s3_odd_branch_large_n():
-    # The odd branch carries the extra (2n - 1) factor; exercise it far
-    # beyond the range the identity suite covers.
+def test_closed_form_sum_p3_odd_branch_large_n():
+    # The odd branch carries the extra (4m + 1)(2m + 1) factor; exercise it
+    # far beyond the range the identity suite covers.
     for n in range(65, 1000, 2):
-        assert closed_form_s3(n) == Fraction(scaled_abs_moment_sum(n, 3), 8), n
+        assert closed_form_sum(n, 3) == scaled_abs_moment_sum(n, 3), n
 
 
 def test_normalized_mean_abs_sum_nondecreasing():
-    # g(n) = S1(n) / 2^n is the expected |signed sum| of n unit entries.
-    values = [Fraction(closed_form_s1(n), 2**n) for n in range(1, 65)]
+    # g(n) = T_1(n) / 2^(n+1) is the expected |signed sum| of n unit entries.
+    values = [Fraction(closed_form_sum(n, 1), 2 ** (n + 1)) for n in range(1, 65)]
     assert values[0] == Fraction(1, 2)
     assert values[2] == Fraction(3, 4)
     assert values[4] == Fraction(15, 16)
