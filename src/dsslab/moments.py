@@ -33,7 +33,6 @@ MC_MAX_SAMPLES samples are refused before anything is allocated.
 from __future__ import annotations
 
 import math
-from collections.abc import Iterator, Mapping
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import TYPE_CHECKING
@@ -108,29 +107,6 @@ _MODULI = (
 )
 
 
-class _Support(Mapping):
-    """Read-only value -> count view of a distribution's sorted arrays."""
-
-    def __init__(self, values: np.ndarray, counts: np.ndarray):
-        self._values = values
-        self._counts = counts
-
-    def __len__(self) -> int:
-        return len(self._values)
-
-    def __iter__(self) -> Iterator[int]:
-        return iter(self._values.tolist())
-
-    def __getitem__(self, value) -> int:
-        values = self._values
-        # The range test keeps searchsorted inside int64.
-        if values[0] <= value <= values[-1]:
-            i = int(np.searchsorted(values, value))
-            if values[i] == value:
-                return int(self._counts[i])
-        raise KeyError(value)
-
-
 @dataclass(frozen=True, eq=False)
 class SignedSumDistribution:
     """Distribution of sum eps_i * c_i over sign patterns eps in {-1,+1}^n.
@@ -138,20 +114,20 @@ class SignedSumDistribution:
     values holds the distinct signed sums in increasing order and counts
     the exact number of sign patterns reaching each (both int64); counts
     total 2^n (3^n when the patterns also admit eps_i = 0) and the
-    distribution is symmetric under negation. support reads the same as a
-    value -> count mapping. Values are in the doubled convention (signs
-    +-1); divide by 2 to read them on the +-1/2 scale.
+    distribution is symmetric under negation. Values are in the doubled
+    convention (signs +-1); divide by 2 to read them on the +-1/2 scale.
+
+    support is values itself, the same array: the sorted distinct values
+    are the support. The alias exists for the benchmark's tracer, which
+    records len(res.support), and goes once the tracer reads values.
     """
 
     values: np.ndarray
     counts: np.ndarray
 
     @property
-    def support(self) -> Mapping[int, int]:
-        return _Support(self.values, self.counts)
-
-    def total(self) -> int:
-        return int(self.counts.sum())
+    def support(self) -> np.ndarray:
+        return self.values
 
 
 def signed_sum_distribution(
@@ -325,7 +301,7 @@ def _paired_power_sum(ys, weights, inner: SignedSumDistribution, p: int) -> int:
     entries = max(len(ys), len(inner.values))
     if entries >= 1 << 32:
         raise BudgetExceededError("paired support entries", entries, (1 << 32) - 1)
-    bound = int(weights.sum()) * inner.total() * (int(ys[-1]) + int(inner.values[-1])) ** p
+    bound = int(weights.sum()) * int(inner.counts.sum()) * (int(ys[-1]) + int(inner.values[-1])) ** p
     cuts = np.searchsorted(inner.values, -ys) if p % 2 else None
     total, product = 0, 1
     for q in _MODULI:

@@ -94,6 +94,11 @@ def full_support_power_sum(dist: SignedSumDistribution, p: int) -> int:
     return sum(c * abs(v) ** p for v, c in zip(values, counts))
 
 
+def support_dict(dist: SignedSumDistribution) -> dict[int, int]:
+    """dist as a value -> count dict of Python ints, to compare with a tally."""
+    return dict(zip(dist.values.tolist(), dist.counts.tolist()))
+
+
 def conway_guy(n: int) -> VectorSequence:
     """The Conway-Guy set {u_n - u_(n-i) : 1 <= i <= n} as a k = 1 sequence;
     its 2^n subset sums are distinct (Bohman 1996), so each coordinate's

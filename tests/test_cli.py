@@ -6,7 +6,10 @@ import dataclasses
 import functools
 import json
 import math
+import os
 import random
+import subprocess
+import sys
 from pathlib import Path
 from unittest import mock
 
@@ -631,3 +634,20 @@ def test_out_writes_file_instead_of_stdout(tmp_path, capsys):
     assert captured.out == ""
     direct = run(build_config(["bounds", "--n", "6", "--k", "1", "--format", "csv"]))
     assert target.read_text() == direct.stdout
+
+
+@pytest.mark.parametrize(
+    "argv, code",
+    [
+        (["report", "--n", "1", "--k", "1"], 1),
+        (["bounds", "--n", "20", "--k", "2", "--format", "json"], 0),
+    ],
+)
+def test_module_entry_point_matches_run(argv, code):
+    # `python -m dsslab.cli` exits with run's code and prints its stdout bytes.
+    src = str(Path(__file__).parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": src}
+    proc = subprocess.run([sys.executable, "-m", "dsslab.cli", *argv], env=env, capture_output=True)
+    result = run(build_config(argv))
+    assert (proc.returncode, result.code) == (code, code)
+    assert proc.stdout == result.stdout.encode("utf-8")

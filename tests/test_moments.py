@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import itertools
 import math
 import time
@@ -21,6 +22,7 @@ from conftest import (
     gray_first_collision_by_dict,
     mc_estimate_by_matmul,
     random_sequence,
+    support_dict,
     typed_fields,
 )
 from dsslab import (
@@ -38,15 +40,12 @@ from dsslab import (
 
 
 def test_distribution_examples():
-    assert signed_sum_distribution((1,)).support == {-1: 1, 1: 1}
-    assert signed_sum_distribution((1, 1)).support == {-2: 1, 0: 2, 2: 1}
-    assert signed_sum_distribution((1, 2)).support == {-3: 1, -1: 1, 1: 1, 3: 1}
+    assert support_dict(signed_sum_distribution((1,))) == {-1: 1, 1: 1}
+    assert support_dict(signed_sum_distribution((1, 1))) == {-2: 1, 0: 2, 2: 1}
+    assert support_dict(signed_sum_distribution((1, 2))) == {-3: 1, -1: 1, 1: 1, 3: 1}
     dist = signed_sum_distribution((1, 2))
+    assert dist.support is dist.values
     assert len(dist.support) == dist.values.size
-    # A value missing inside the range and values outside it alike.
-    for missing in (0, 2, -4, 4):
-        with pytest.raises(KeyError):
-            dist.support[missing]
 
 
 def test_distribution_counts_and_symmetry():
@@ -55,9 +54,9 @@ def test_distribution_counts_and_symmetry():
         n = int(rng.integers(1, 14))
         coords = tuple(int(c) for c in rng.integers(0, 9, size=n))
         dist = signed_sum_distribution(coords)
-        assert dist.total() == 2**n
-        for value, count in dist.support.items():
-            assert dist.support[-value] == count
+        assert int(dist.counts.sum()) == 2**n
+        assert (dist.values == -dist.values[::-1]).all()
+        assert (dist.counts == dist.counts[::-1]).all()
 
 
 def test_distribution_matches_direct_enumeration():
@@ -69,7 +68,7 @@ def test_distribution_matches_direct_enumeration():
         for signs in itertools.product((-1, 1), repeat=n):
             s = sum(e * c for e, c in zip(signs, coords))
             expect[s] = expect.get(s, 0) + 1
-        assert signed_sum_distribution(coords).support == expect
+        assert support_dict(signed_sum_distribution(coords)) == expect
 
 
 def test_distribution_sparse_path_matches_direct_enumeration():
@@ -80,7 +79,7 @@ def test_distribution_sparse_path_matches_direct_enumeration():
     for signs in itertools.product((-1, 1), repeat=len(coords)):
         s = sum(e * c for e, c in zip(signs, coords))
         expect[s] = expect.get(s, 0) + 1
-    assert signed_sum_distribution(coords).support == expect
+    assert support_dict(signed_sum_distribution(coords)) == expect
 
 
 # Narrow coordinates repeat and include zeros, so the support folds
@@ -96,9 +95,11 @@ def test_distribution_matches_product_oracle(coords):
     ]
     dist = signed_sum_distribution(coords)
     expect = {value: sums.count(value) for value in set(sums)}
-    assert dist.support == expect
-    assert all(dist.support[-value] == count for value, count in expect.items())
-    assert dist.total() == 2 ** len(coords)
+    assert dist.support is dist.values
+    assert support_dict(dist) == expect
+    assert (dist.values == -dist.values[::-1]).all()
+    assert (dist.counts == dist.counts[::-1]).all()
+    assert int(dist.counts.sum()) == 2 ** len(coords)
     for p in (1, 2, 3):
         assert full_support_power_sum(dist, p) == sum(abs(s) ** p for s in sums), p
 
@@ -111,8 +112,8 @@ def test_three_sign_distribution_matches_product_oracle(coords):
         for signs in itertools.product((-1, 0, 1), repeat=len(coords))
     )
     dist = signed_sum_distribution(coords, signs=(-1, 0, 1))
-    assert dist.support == sums
-    assert dist.total() == 3 ** len(coords)
+    assert support_dict(dist) == sums
+    assert int(dist.counts.sum()) == 3 ** len(coords)
 
 
 @st.composite
@@ -237,8 +238,8 @@ def test_distribution_under_budget_matches_prefix_oracle(case):
                 for eps in itertools.product(signs, repeat=len(coords))
             )
             dist = signed_sum_distribution(coords, budget=budget, signs=signs)
-            assert dist.support == sums
-            assert dist.total() == len(signs) ** len(coords)
+            assert support_dict(dist) == sums
+            assert int(dist.counts.sum()) == len(signs) ** len(coords)
     assert max((len(call.args[0]) for call in fold.call_args_list), default=0) <= len(signs) * budget
 
 
@@ -246,7 +247,7 @@ def test_distribution_of_equal_coordinates_is_binomial():
     # S = 4.2e6 but only 26 support entries: the budget counts entries,
     # not the width of [-S, S].
     dist = signed_sum_distribution((168000,) * 25)
-    assert dist.support == {168000 * (25 - 2 * j): math.comb(25, j) for j in range(26)}
+    assert support_dict(dist) == {168000 * (25 - 2 * j): math.comb(25, j) for j in range(26)}
     assert exact_moment(VectorSequence(25, 1, 168000, ((168000,),) * 25), 1).value == (
         extremal_moment(25, 1, 168000, 1).value
     )
@@ -267,7 +268,7 @@ def test_distribution_budget_counts_folded_support():
     # the bound min(2 * len, reach + 1) overstates them; the exact count
     # decides.
     dist = signed_sum_distribution((16, 32, 16, 16), budget=6)
-    assert dist.support == {-80: 1, -48: 3, -16: 4, 16: 4, 48: 3, 80: 1}
+    assert support_dict(dist) == {-80: 1, -48: 3, -16: 4, 16: 4, 48: 3, 80: 1}
     with pytest.raises(BudgetExceededError) as err:
         signed_sum_distribution((16, 32, 16, 16), budget=5)
     assert (err.value.needed, err.value.budget) == (6, 5)
@@ -277,7 +278,7 @@ def test_three_sign_budget_counts_folded_support():
     # Step 32 merges 9 entries into 7: the bound min(3 * len, 2 * reach + 1)
     # overstates them, and the exact count decides.
     dist = signed_sum_distribution((16, 32), budget=7, signs=(-1, 0, 1))
-    assert dist.support == {-48: 1, -32: 1, -16: 2, 0: 1, 16: 2, 32: 1, 48: 1}
+    assert support_dict(dist) == {-48: 1, -32: 1, -16: 2, 0: 1, 16: 2, 32: 1, 48: 1}
     with pytest.raises(BudgetExceededError) as err:
         signed_sum_distribution((16, 32), budget=6, signs=(-1, 0, 1))
     assert (err.value.needed, err.value.budget) == (7, 6)
@@ -285,7 +286,7 @@ def test_three_sign_budget_counts_folded_support():
 
 def test_three_sign_guards_and_validation():
     # Three signs put 3^n patterns in the counts.
-    assert signed_sum_distribution((0,) * 39, signs=(-1, 0, 1)).support == {0: 3**39}
+    assert support_dict(signed_sum_distribution((0,) * 39, signs=(-1, 0, 1))) == {0: 3**39}
     with pytest.raises(BudgetExceededError) as err:
         signed_sum_distribution((0,) * 40, signs=(-1, 0, 1))
     assert (err.value.needed, err.value.budget) == (3**40, (1 << 63) - 1)
@@ -299,12 +300,12 @@ def test_three_sign_guards_and_validation():
 def test_distribution_int64_guards():
     # Counts reach 2^n and values reach the coordinate sum; both must fit
     # in int64.
-    assert signed_sum_distribution((0,) * 62).support == {0: 1 << 62}
+    assert support_dict(signed_sum_distribution((0,) * 62)) == {0: 1 << 62}
     with pytest.raises(BudgetExceededError) as err:
         signed_sum_distribution((0,) * 63)
     assert (err.value.needed, err.value.budget) == (1 << 63, (1 << 63) - 1)
     top = (1 << 62, (1 << 62) - 1)
-    assert signed_sum_distribution(top).support == {
+    assert support_dict(signed_sum_distribution(top)) == {
         -((1 << 63) - 1): 1, -1: 1, 1: 1, (1 << 63) - 1: 1
     }
     with pytest.raises(BudgetExceededError) as err:
@@ -332,7 +333,7 @@ def test_repeating_wide_support_folds_at_the_floor():
     for (u, cu), (v, cv) in itertools.product(halves[0].items(), halves[1].items()):
         expect[10**7 * (u + v)] += cu * cv
     dist, peak = _traced_peak(lambda: signed_sum_distribution(coords, signs=(-1, 0, 1)))
-    assert dist.support == expect
+    assert support_dict(dist) == expect
     assert peak < 2 << 20, peak
     # 26 such entries pass the pigeonhole limit, so the pair count of two
     # such halves runs before the walk names the first collision.
@@ -378,7 +379,7 @@ def test_zero_entries_fold_fast():
         start = time.perf_counter()
         dist = signed_sum_distribution(coords, signs=signs)
         assert time.perf_counter() - start < 0.05, len(coords)
-        assert dist.support == {0: len(signs) ** len(coords)}
+        assert support_dict(dist) == {0: len(signs) ** len(coords)}
 
 
 # The pairing takes residues modulo 2^64 and then modulo the primes of
@@ -572,6 +573,16 @@ def test_variance_identity_examples():
     plane = VectorSequence(2, 2, 1, ((1, 0), (0, 1)))
     assert variance_identity_check(plane) is None
     assert exact_moment(plane, 2).value == Fraction(1, 2)
+
+
+def test_variance_identity_reports_a_discrepancy():
+    # An exact moment shifted by 1 no longer meets (1/4) sum ||a_i||^2.
+    real = moments.exact_moment
+    shifted = lambda seq, p: dataclasses.replace(real(seq, p), value=real(seq, p).value + 1)
+    seq = VectorSequence(2, 1, 3, ((1,), (3,)))
+    with mock.patch.object(moments, "exact_moment", shifted):
+        found = variance_identity_check(seq)
+    assert found == moments.VarianceDiscrepancy(lhs=Fraction(7, 2), rhs=Fraction(5, 2))
 
 
 def test_variance_identity_on_randoms():
@@ -784,6 +795,32 @@ def test_convexity_probe_linear_case():
     # With one vector the mean absolute sum is linear in the component,
     # so midpoint convexity holds with equality.
     assert convexity_probe(1, 9, trials=50, seed=4) is None
+
+
+def test_convexity_probe_reports_a_midpoint_failure():
+    # A fault that makes f(t) = -t^2 / 2^(n+1), concave in t, fails the
+    # first trial whose pair has lo < hi.
+    concave = lambda ys, weights, inner, p: -int(ys[0]) ** 2
+    with mock.patch.object(moments, "_paired_power_sum", concave):
+        found = convexity_probe(4, 10, trials=50, seed=1)
+    assert found == moments.ConvexityCounterexample(
+        kind="midpoint", x=(5, 5, 8, 10), index=0, lo=1, hi=9,
+        f_lo=Fraction(-1, 32), f_mid=Fraction(-25, 32), f_hi=Fraction(-81, 32),
+    )
+    assert found.f_lo + found.f_hi < 2 * found.f_mid
+
+
+def test_convexity_probe_reports_a_vertex_failure():
+    # A spike at t = 3 passes every midpoint whose mid is not 3, and fails
+    # the vertex check where x_i = 3 lies strictly inside [0, bound].
+    spike = lambda ys, weights, inner, p: int(ys[0] == 3)
+    with mock.patch.object(moments, "_paired_power_sum", spike):
+        found = convexity_probe(4, 6, trials=50, seed=4)
+    assert found == moments.ConvexityCounterexample(
+        kind="vertex", x=(5, 6, 6, 3), index=3, lo=0, hi=6,
+        f_lo=Fraction(0), f_mid=Fraction(1, 32), f_hi=Fraction(0),
+    )
+    assert found.x[found.index] == 3
 
 
 def test_convexity_probe_validation():
