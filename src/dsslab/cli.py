@@ -43,7 +43,8 @@ _FORMATS = ("text", "csv", "json")
 @dataclass(frozen=True)
 class RunConfig:
     """Everything a command run depends on. Immutable; output is a pure
-    function of this plus the content of `file` when one is named."""
+    function of this plus the content of `file` when one is named. Its
+    defaults are the only defaults of the CLI's options."""
 
     command: str
     fmt: str = "text"
@@ -267,28 +268,26 @@ _HANDLERS = {
 }
 
 
-def _int_arg(text: str, ok, wording: str) -> int:
-    """int(text) if it passes `ok`, else an ArgumentTypeError in `wording`,
-    which argparse prints as it is; text that is no integer is refused so too."""
-    try:
-        value = int(text)
-        if ok(value):
-            return value
-    except ValueError:
-        pass
-    raise argparse.ArgumentTypeError(f"{wording}, got {text}")
+def _int_arg(ok, wording: str):
+    """The argparse type of an int that passes `ok`: any other text is
+    refused with an ArgumentTypeError in `wording`, which argparse prints
+    as it is."""
+
+    def convert(text: str) -> int:
+        try:
+            value = int(text)
+            if ok(value):
+                return value
+        except ValueError:
+            pass
+        raise argparse.ArgumentTypeError(f"{wording}, got {text}")
+
+    return convert
 
 
-def _positive_int(text: str) -> int:
-    return _int_arg(text, lambda v: v >= 1, "must be a positive integer")
-
-
-def _nonnegative_int(text: str) -> int:
-    return _int_arg(text, lambda v: v >= 0, "must be a nonnegative integer")
-
-
-def _seed_u64(text: str) -> int:
-    return _int_arg(text, lambda v: 0 <= v < 1 << 64, "seed must fit in 64 bits")
+_positive_int = _int_arg(lambda v: v >= 1, "must be a positive integer")
+_nonnegative_int = _int_arg(lambda v: v >= 0, "must be a nonnegative integer")
+_seed_u64 = _int_arg(lambda v: 0 <= v < 1 << 64, "seed must fit in 64 bits")
 
 
 @functools.cache
@@ -296,7 +295,7 @@ def _build_parser() -> argparse.ArgumentParser:
     """The one parser of the process, built on first use.
 
     Sharing it is safe: each parse_args call fills a fresh Namespace, and
-    no argument has a mutable default or an append action.
+    no argument has a default or an append action.
     """
     parser = argparse.ArgumentParser(
         prog="dsslab",
@@ -304,72 +303,65 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(sp):
-        sp.add_argument("--format", choices=_FORMATS, default="text", dest="fmt")
-        sp.add_argument("--out", default=None, help="write output to this path instead of stdout")
-
     sp = sub.add_parser("bounds", help="lower bounds on M for one (n, k)")
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--method", choices=_bounds.METHOD_TOKENS + ("all",), default="all")
-    common(sp)
+    sp.add_argument("--method", choices=_bounds.METHOD_TOKENS + ("all",))
 
     sp = sub.add_parser("crossover", help="coefficient comparison table over a range of k")
     sp.add_argument("--k-min", type=_positive_int, required=True, dest="k_min")
     sp.add_argument("--k-max", type=_positive_int, required=True, dest="k_max")
-    common(sp)
 
     sp = sub.add_parser("lattice-check", help="discrete vs continuum shell comparison")
     mode = sp.add_mutually_exclusive_group(required=True)
-    mode.add_argument("--n", type=_nonnegative_int, default=None,
-                      help="select the 2^n closest lattice points")
-    mode.add_argument("--radius", type=float, default=None,
+    mode.add_argument("--n", type=_nonnegative_int, help="select the 2^n closest lattice points")
+    mode.add_argument("--radius", type=float,
                       help="count-vs-volume check at this radius instead of a shell summary")
     sp.add_argument("--k", type=_positive_int, required=True)
     sp.add_argument("--p", type=_positive_int, required=True)
-    sp.add_argument("--budget", type=_positive_int, default=None,
+    sp.add_argument("--budget", type=_positive_int,
                     help="candidate point budget for the enumeration")
-    common(sp)
 
     sp = sub.add_parser("verify", help="check a sequence file for distinct subset sums")
     sp.add_argument("--file", required=True, help="sequence file: `n k M`, then n lines of k integers")
-    common(sp)
 
     sp = sub.add_parser("search", help="exhaustive minimal-M search at desk scale")
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--budget", type=_positive_int, default=None,
+    sp.add_argument("--budget", type=_positive_int,
                     help=f"visited-node budget (default {_sequences.DEFAULT_NODE_BUDGET})")
-    common(sp)
 
     sp = sub.add_parser("moments", help="exact or Monte Carlo moment of a sequence file")
     sp.add_argument("--file", required=True)
     sp.add_argument("--p", type=float, required=True,
                     help="moment order; exact path needs integer 1, 2, or 3")
-    sp.add_argument("--samples", type=_positive_int, default=None,
+    sp.add_argument("--samples", type=_positive_int,
                     help="sample count, at most 2^27; presence selects the Monte Carlo path")
-    sp.add_argument("--seed", type=_seed_u64, default=DEFAULT_SEED,
-                    help=f"RNG seed (default {DEFAULT_SEED})")
-    sp.add_argument("--budget", type=_positive_int, default=None,
+    sp.add_argument("--seed", type=_seed_u64, help=f"RNG seed (default {DEFAULT_SEED})")
+    sp.add_argument("--budget", type=_positive_int,
                     help="signed-sum support entries per half of a coordinate's entries for the exact path")
-    common(sp)
 
     sp = sub.add_parser("report", help="bounds vs searched minimum for one (n, k)")
     sp.add_argument("--n", type=_positive_int, required=True)
     sp.add_argument("--k", type=_positive_int, required=True)
-    sp.add_argument("--budget", type=_positive_int, default=None)
-    common(sp)
+    sp.add_argument("--budget", type=_positive_int)
 
+    # Every command takes --format and --out, after its own options.
+    for sp in sub.choices.values():
+        sp.add_argument("--format", choices=_FORMATS, dest="fmt")
+        sp.add_argument("--out", help="write output to this path instead of stdout")
     return parser
 
 
 def build_config(argv) -> RunConfig:
     """Parse argv into an immutable RunConfig. Exits with code 2 on usage errors.
 
-    Cheap to call repeatedly: every call reuses the one cached parser.
+    Options left out parse to None and are not passed, so RunConfig's
+    defaults are the CLI's. Cheap to call repeatedly: every call reuses the
+    one cached parser.
     """
     values = vars(_build_parser().parse_args(argv))
-    return RunConfig(**{f: values[f] for f in RunConfig.__dataclass_fields__ if f in values})
+    return RunConfig(**{name: v for name, v in values.items() if v is not None})
 
 
 def run(config: RunConfig) -> CommandResult:

@@ -142,13 +142,13 @@ def signed_sum_distribution(
     keeps int64 arrays of values and counts. Step c replaces them by
     values + s * c for s in signs, side by side and unfolded: equal values
     are not merged yet. They are folded, one sort and a sum of the counts
-    of each run of equal values (_fold), always after a step whose
-    unfolded values pass the budget, and once at the end. In between, a
-    fold comes only once the next step's unfolded array reaches
-    _FOLD_FLOOR entries and the values have grown _FOLD_GROWTH-fold since
-    the last fold. No values are folded twice, and no output depends on
-    when the folds come: equal values merge and their counts add exactly
-    in any order.
+    of each run of equal values (_fold), right after a step whose
+    unfolded values pass the budget, or once the next step's unfolded
+    array would reach _FOLD_FLOOR entries and the values have grown
+    _FOLD_GROWTH-fold since the last fold; and once at the end, unless
+    the last step folded. No values are folded twice, and no output
+    depends on when the folds come: equal values merge and their counts
+    add exactly in any order.
 
     budget caps the support entries after any one step. It is checked
     once a step, right after it: values within the budget pass as they
@@ -175,13 +175,11 @@ def signed_sum_distribution(
     counts = None
     folded = 1  # the support the last fold left; the start counts as one
     for shifts in np.multiply.outer(np.array(coords, dtype=np.int64), signs):
-        if width * len(values) >= _FOLD_FLOOR and len(values) >= _FOLD_GROWTH * folded:
-            values, counts = _fold(values, counts)
-            folded = len(values)
         values = np.add.outer(shifts, values).ravel()
         if counts is not None:
             counts = np.tile(counts, width)
-        if len(values) > budget:
+        grown = width * len(values) >= _FOLD_FLOOR and len(values) >= _FOLD_GROWTH * folded
+        if grown or len(values) > budget:
             values, counts = _fold(values, counts)
             folded = len(values)
             if folded > budget:

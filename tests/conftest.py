@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
+from collections import Counter
 
 import numpy as np
 from hypothesis import settings
@@ -92,6 +93,15 @@ def full_support_power_sum(dist: SignedSumDistribution, p: int) -> int:
     the full 2^n-entry power sum that exact_moment's half pairing replaces."""
     values, counts = dist.values.tolist(), dist.counts.tolist()
     return sum(c * abs(v) ** p for v, c in zip(values, counts))
+
+
+def signed_sum_tally(coords, signs=(-1, 1)) -> Counter:
+    """How many sign patterns over `signs` reach each signed sum of coords,
+    by direct enumeration: the oracle of signed_sum_distribution."""
+    return Counter(
+        sum(e * c for e, c in zip(eps, coords))
+        for eps in itertools.product(signs, repeat=len(coords))
+    )
 
 
 def support_dict(dist: SignedSumDistribution) -> dict[int, int]:

@@ -83,6 +83,16 @@ def test_defaults():
     assert cfg.out is None
 
 
+def test_every_command_ends_with_format_and_out_and_sets_no_default():
+    # RunConfig holds every default: an option left out parses to None.
+    sub = next(a for a in _build_parser()._actions if a.dest == "command")
+    assert len(sub.choices) == 7
+    for name, sp in sub.choices.items():
+        options = [a for a in sp._actions if a.dest != "help"]
+        assert [a.option_strings for a in options[-2:]] == [["--format"], ["--out"]], name
+        assert [a.dest for a in options if a.default is not None] == [], name
+
+
 def test_cached_parser_keeps_no_state_between_parses(capsys):
     assert _build_parser() is _build_parser()
     build_config(["search", "--n", "4", "--k", "1", "--budget", "5"])
@@ -538,6 +548,11 @@ def test_moments_mc_past_the_float_range_is_a_usage_error(tmp_path, capsys, p, f
 def test_json_refuses_non_finite_floats():
     with pytest.raises(ValueError):
         _emit(RunConfig("moments", fmt="json"), ("value",), [], {"value": math.inf})
+
+
+def test_json_refuses_objects_it_cannot_write():
+    with pytest.raises(TypeError, match="object"):
+        _emit(RunConfig("bounds", fmt="json"), (), [], {"x": object()})
 
 
 def test_moments_exact_rejects_fractional_p(good_file, capsys):

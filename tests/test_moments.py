@@ -22,6 +22,7 @@ from conftest import (
     gray_first_collision_by_dict,
     mc_estimate_by_matmul,
     random_sequence,
+    signed_sum_tally,
     support_dict,
     typed_fields,
 )
@@ -64,10 +65,7 @@ def test_distribution_matches_direct_enumeration():
     for trial in range(25):
         n = int(rng.integers(1, 9))
         coords = tuple(int(c) for c in rng.integers(0, 7, size=n))
-        expect = {}
-        for signs in itertools.product((-1, 1), repeat=n):
-            s = sum(e * c for e, c in zip(signs, coords))
-            expect[s] = expect.get(s, 0) + 1
+        expect = signed_sum_tally(coords)
         assert support_dict(signed_sum_distribution(coords)) == expect
 
 
@@ -75,10 +73,7 @@ def test_distribution_sparse_path_matches_direct_enumeration():
     # Wide coordinate spread: the support is far sparser than [-S, S] and
     # hardly folds; small n keeps the direct product affordable.
     coords = (1000, 3000, 50000, 12345)
-    expect = {}
-    for signs in itertools.product((-1, 1), repeat=len(coords)):
-        s = sum(e * c for e, c in zip(signs, coords))
-        expect[s] = expect.get(s, 0) + 1
+    expect = signed_sum_tally(coords)
     assert support_dict(signed_sum_distribution(coords)) == expect
 
 
@@ -89,28 +84,21 @@ _COORD_RANGES = st.sampled_from((8, 10**6))
 @settings(max_examples=200)
 @given(_COORD_RANGES.flatmap(lambda hi: st.lists(st.integers(0, hi), max_size=10)))
 def test_distribution_matches_product_oracle(coords):
-    sums = [
-        sum(e * c for e, c in zip(signs, coords))
-        for signs in itertools.product((-1, 1), repeat=len(coords))
-    ]
+    expect = signed_sum_tally(coords)
     dist = signed_sum_distribution(coords)
-    expect = {value: sums.count(value) for value in set(sums)}
     assert dist.support is dist.values
     assert support_dict(dist) == expect
     assert (dist.values == -dist.values[::-1]).all()
     assert (dist.counts == dist.counts[::-1]).all()
     assert int(dist.counts.sum()) == 2 ** len(coords)
     for p in (1, 2, 3):
-        assert full_support_power_sum(dist, p) == sum(abs(s) ** p for s in sums), p
+        assert full_support_power_sum(dist, p) == sum(abs(s) ** p for s in expect.elements()), p
 
 
 @settings(max_examples=200)
 @given(_COORD_RANGES.flatmap(lambda hi: st.lists(st.integers(0, hi), max_size=8)))
 def test_three_sign_distribution_matches_product_oracle(coords):
-    sums = Counter(
-        sum(e * c for e, c in zip(signs, coords))
-        for signs in itertools.product((-1, 0, 1), repeat=len(coords))
-    )
+    sums = signed_sum_tally(coords, signs=(-1, 0, 1))
     dist = signed_sum_distribution(coords, signs=(-1, 0, 1))
     assert support_dict(dist) == sums
     assert int(dist.counts.sum()) == 3 ** len(coords)
@@ -221,10 +209,7 @@ def test_distribution_under_budget_matches_prefix_oracle(case):
     # passes the budget, naming that support's exact size. No array it
     # folds holds more than len(signs) * budget entries.
     signs, coords, budget = case
-    sizes = [
-        len({sum(e * c for e, c in zip(eps, coords)) for eps in itertools.product(signs, repeat=i)})
-        for i in range(len(coords) + 1)
-    ]
+    sizes = [len(signed_sum_tally(coords[:i], signs)) for i in range(len(coords) + 1)]
     assert sizes == sorted(sizes)  # prefix supports never shrink
     over = [size for size in sizes if size > budget]
     with mock.patch.object(moments, "_fold", wraps=moments._fold) as fold:
@@ -233,10 +218,7 @@ def test_distribution_under_budget_matches_prefix_oracle(case):
                 signed_sum_distribution(coords, budget=budget, signs=signs)
             assert (err.value.needed, err.value.budget) == (over[0], budget)
         else:
-            sums = Counter(
-                sum(e * c for e, c in zip(eps, coords))
-                for eps in itertools.product(signs, repeat=len(coords))
-            )
+            sums = signed_sum_tally(coords, signs)
             dist = signed_sum_distribution(coords, budget=budget, signs=signs)
             assert support_dict(dist) == sums
             assert int(dist.counts.sum()) == len(signs) ** len(coords)
