@@ -41,6 +41,7 @@ import numpy as np
 
 from .combinatorics import closed_form_sum
 from .errors import BudgetExceededError
+from .pnorm import _INT64_MAX
 
 if TYPE_CHECKING:
     from .sequences import VectorSequence
@@ -93,9 +94,6 @@ MC_MAX_SAMPLES = 1 << 27
 # draws form one stream and every sample keeps its own value. It is even,
 # so every block but the last draws whole 64-bit words.
 _MC_BLOCK = 1 << 12
-
-# Largest signed sum, and largest count, the int64 arrays can hold.
-_INT64_MAX = np.iinfo(np.int64).max
 
 # Moduli of the exact pairing, taken in this order: 2^64, which uint64
 # arithmetic reduces by itself, then the eight largest primes below 2^32.

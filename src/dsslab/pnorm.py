@@ -57,7 +57,8 @@ DEFAULT_ENUM_BUDGET = 1 << 22
 # through gamma_root, which falls back to log space there.
 GAMMA_DOMAIN = (0.05, 500.0)
 
-# Largest p-power norm the int64 box arrays can hold.
+# Largest value an int64 array can hold: here the p-power norms of the box
+# arrays, in moments the signed sums and counts, in sequences the packed sums.
 _INT64_MAX = np.iinfo(np.int64).max
 
 

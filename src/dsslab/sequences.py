@@ -36,13 +36,13 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Iterator
+from typing import Callable, Iterable, Iterator
 
 import numpy as np
 
 from .bounds import METHOD_TOKENS, lower_bound
 from .errors import BudgetExceededError
-from .moments import DEFAULT_TABLE_BUDGET, _halves
+from .moments import _INT64_MAX, DEFAULT_TABLE_BUDGET, _halves
 
 __all__ = [
     "VERIFY_MAX_N",
@@ -235,7 +235,7 @@ def _gray_first_collision(
     """
     packed, radix = _mixed_radix(seq)
     limit = min(budget, 1 << seq.n)
-    walk = ordered = np.zeros(1, dtype=object if radix >= 1 << 63 else np.int64)
+    walk = ordered = np.zeros(1, dtype=object if radix > _INT64_MAX else np.int64)
     for j, vec in enumerate(packed):
         half = 1 << j
         back = walk[::-1]
@@ -331,7 +331,7 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
         return None
     if seq.n > VERIFY_MAX_N:
         raise BudgetExceededError("subset enumeration", 1 << seq.n, 1 << VERIFY_MAX_N)
-    if 1 << seq.n <= radix < 1 << 63:
+    if 1 << seq.n <= radix <= _INT64_MAX:
         try:
             if _zero_sum_signs(seq) == 1:
                 return None
@@ -370,20 +370,7 @@ def _canonical_permuted(vectors: tuple[tuple[int, ...], ...], k: int) -> tuple:
     )
 
 
-class _NodeBudget:
-    __slots__ = ("budget", "spent")
-
-    def __init__(self, budget: int):
-        self.budget = budget
-        self.spent = 0
-
-    def tick(self) -> None:
-        if self.spent >= self.budget:
-            raise BudgetExceededError("search nodes", self.spent + 1, self.budget)
-        self.spent += 1
-
-
-def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
+def _search_level(n: int, k: int, m: int, tick: Callable[[], None]) -> tuple | None:
     """DFS for one distinct-sum sequence with components in [0, m].
 
     Candidates are the nonzero vectors of [0, m]^k in lexicographic order;
@@ -397,11 +384,11 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
     when s is a packed subset sum of the prefix. Packing never carries, so
     a candidate w collides exactly when `(reach << w) & reach` is nonzero,
     and the child receives `reach | reach << w`, which leaves nothing to
-    undo on backtracking. Every attempted placement ticks the budget once,
+    undo on backtracking. It calls tick once per attempted placement,
     before its collision test.
 
-    Returns the sequence's vectors, or None when refuted.
-    Raises BudgetExceededError when the node budget trips mid-search.
+    Returns the sequence's vectors, or None when refuted; tick's
+    BudgetExceededError passes through.
     """
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
     # Base n*m + 1, not _mixed_radix: the sums of the sequences to come
@@ -412,36 +399,34 @@ def _search_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
         for idx in range(len(candidates) - n + 1)
         if all(a <= b for a, b in zip(candidates[idx], candidates[idx][1:]))
     ]
-    chosen: list[int] = []
 
-    def extend(placements: Iterable[int], depth: int, reach: int) -> bool:
+    def extend(placements: Iterable[int], depth: int, reach: int) -> tuple | None:
+        """The vectors for places depth.. after the prefix `reach`, or None."""
         if depth == n:
-            return True
+            return ()
         for idx in placements:
-            budget.tick()
+            tick()
             shifted = reach << packed[idx]
             if shifted & reach:
                 continue
-            chosen.append(idx)
             # the child's range leaves a candidate for each of the
             # n - depth - 2 places after its own
             later = range(idx + 1, len(candidates) - n + depth + 2)
-            if extend(later, depth + 1, reach | shifted):
-                return True
-            chosen.pop()
-        return False
+            rest = extend(later, depth + 1, reach | shifted)
+            if rest is not None:
+                return (candidates[idx], *rest)
+        return None
 
-    if extend(roots, 0, 1):
-        return tuple(candidates[idx] for idx in chosen)
-    return None
+    return extend(roots, 0, 1)
 
 
-def _bruteforce_level(n: int, k: int, m: int, budget: _NodeBudget) -> tuple | None:
+def _bruteforce_level(n: int, k: int, m: int, tick: Callable[[], None]) -> tuple | None:
     """Pruning-free reference: try every increasing sequence, and keep the
-    first whose Gray-walk sums never repeat, by a set of the sums seen."""
+    first whose Gray-walk sums never repeat, by a set of the sums seen.
+    It calls tick once per attempted sequence."""
     candidates = [vec for vec in itertools.product(range(m + 1), repeat=k) if any(vec)]
     for vectors in itertools.combinations(candidates, n):
-        budget.tick()
+        tick()
         seq = VectorSequence(n=n, k=k, bound=m, vectors=vectors)
         seen = set()
         for _, packed in iter_gray_subset_sums(seq):
@@ -475,13 +460,21 @@ def min_m_search(
         raise ValueError(f"search supports k in {sorted(SEARCH_LIMITS)}, got {k}")
     if n < 0 or n > SEARCH_LIMITS[k]:
         raise ValueError(f"search supports 0 <= n <= {SEARCH_LIMITS[k]} for k={k}, got {n}")
-    tracker = _NodeBudget(budget)
+    spent = 0
+
+    def tick() -> None:
+        """Count one search node, or raise BudgetExceededError past the budget."""
+        nonlocal spent
+        if spent >= budget:
+            raise BudgetExceededError("search nodes", spent + 1, budget)
+        spent += 1
+
     level = _search_level if prune else _bruteforce_level
     # The empty sequence fits M = 0; any other starts the search at M = 1.
     m, found = (0, ()) if n == 0 else (1, None)
     try:
         while found is None:
-            found = level(n, k, m, tracker)
+            found = level(n, k, m, tick)
             if found is None:
                 m += 1
     except BudgetExceededError:
@@ -496,7 +489,7 @@ def min_m_search(
         witness=witness,
         exhaustive=witness is not None,
         refuted_below=m,
-        nodes=tracker.spent,
+        nodes=spent,
     )
 
 

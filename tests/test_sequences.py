@@ -32,7 +32,6 @@ from dsslab.sequences import (
     _bruteforce_level,
     _gray_first_collision,
     _mixed_radix,
-    _NodeBudget,
     _peeled_distinct,
     _search_level,
     _zero_sum_signs,
@@ -370,8 +369,8 @@ def test_bruteforce_oracle_runs_the_walk_only():
         mock.patch("dsslab.sequences._zero_sum_signs", side_effect=AssertionError),
         mock.patch("dsslab.sequences._gray_first_collision", side_effect=AssertionError),
     ):
-        assert _bruteforce_level(4, 1, 7, _NodeBudget(10**6)) is not None
-        assert _bruteforce_level(3, 2, 1, _NodeBudget(10**6)) is None
+        assert _bruteforce_level(4, 1, 7, lambda: None) is not None
+        assert _bruteforce_level(3, 2, 1, lambda: None) is None
 
 
 def test_verify_default_budget_limits():
@@ -642,6 +641,19 @@ def test_search_budget_trip_points_are_pinned():
         assert out.m_min is None and out.witness is None
 
 
+def test_oracle_budget_trip_points_are_pinned():
+    # The pruning-free path counts one node per sequence tried: levels 4, 5
+    # and 6 refute C(4, 4) = 1, C(5, 4) = 5 and C(6, 4) = 15 sequences, and
+    # level 7 finds its witness at the 34th, after 1 + 5 + 15 + 34 nodes.
+    for b in range(1, 55):
+        level = 5 if b < 6 else 6 if b < 21 else 7
+        out = min_m_search(4, 1, budget=b, prune=False)
+        assert (out.refuted_below, out.nodes, out.exhaustive) == (level, b, False), b
+        assert out.m_min is None and out.witness is None
+    out = min_m_search(4, 1, budget=55, prune=False)
+    assert (out.m_min, out.nodes, out.exhaustive) == (7, 55, True)
+
+
 # Lunnon's minima for k = 1 (Math. Comp. 50, 1988), n = 1..7.
 LUNNON_K1 = (1, 2, 4, 7, 13, 24, 44)
 
@@ -665,8 +677,8 @@ def test_search_frontier_cell_7_1():
 def test_level_search_agrees_with_bruteforce(n, k, m):
     # One level at a time: both must agree on whether [0, m]^k holds a
     # distinct-sum n-sequence, whatever the levels below would say.
-    pruned = _search_level(n, k, m, _NodeBudget(10**6))
-    brute = _bruteforce_level(n, k, m, _NodeBudget(10**6))
+    pruned = _search_level(n, k, m, lambda: None)
+    brute = _bruteforce_level(n, k, m, lambda: None)
     assert (pruned is None) == (brute is None)
     for vectors in (pruned, brute):
         if vectors is not None:
