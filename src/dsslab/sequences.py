@@ -532,6 +532,12 @@ class BoundSearchRow:
 
 @dataclass(frozen=True)
 class BoundSearchReport:
+    """Every method's BoundSearchRow at one (n, k), beside the minimum.
+
+    exhaustive is always True on return: bound_vs_search_report raises
+    BudgetExceededError when the search ends with no minimum.
+    """
+
     n: int
     k: int
     m_min: int

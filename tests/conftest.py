@@ -18,18 +18,14 @@ from hypothesis import settings
 
 import workloads
 from dsslab import (
-    METHOD_FIRST,
-    METHOD_THIRD,
     BudgetExceededError,
     Collision,
     MomentValue,
     SignedSumDistribution,
     VectorSequence,
-    closed_form_sum,
     iter_gray_subset_sums,
-    radius_for_count,
 )
-from dsslab.pnorm import DEFAULT_ENUM_BUDGET, _box_side, _validate_lattice_args
+from dsslab.pnorm import DEFAULT_ENUM_BUDGET
 
 settings.register_profile("dsslab", deadline=None, derandomize=True, database=None)
 settings.load_profile("dsslab")
@@ -76,18 +72,6 @@ def gray_first_collision_by_dict(seq: VectorSequence, budget: int) -> Collision 
     return None
 
 
-def recomputed_finite_bound(n: int, k: int, method: str) -> float | None:
-    """A finite-form bound rebuilt from radius_for_count and the T_1/T_3 closed
-    forms, independently of dsslab.bounds; None for the variance method."""
-    if method == METHOD_FIRST:
-        return radius_for_count(n, k, 1) * 2.0 ** (n + 1) / ((k + 1) * float(closed_form_sum(n, 1)))
-    if method == METHOD_THIRD:
-        return radius_for_count(n, k, 3) * (
-            2.0 ** (n + 3) / ((k + 3) * float(closed_form_sum(n, 3)))
-        ) ** (1.0 / 3.0)
-    return None
-
-
 def full_support_power_sum(dist: SignedSumDistribution, p: int) -> int:
     """sum over dist's whole support of count * |value|^p, an exact integer:
     the full 2^n-entry power sum that exact_moment's half pairing replaces."""
@@ -130,14 +114,20 @@ def lattice_shell_points(
     """The 2^n selected shell points themselves, as (point, norm^p) pairs:
     the pure-Python full-box oracle for lattice_shell_enumerate's slice core.
 
-    Loops over the box of _box_side, so budget refusals match the core's.
-    Order is the deterministic tie-break: ascending exact p-power norm,
-    then lexicographic on coordinates.
+    Loops over the box [-t, t]^k with t = max(1, ceil(R) + 1), R the
+    benchmark checks' 30-digit radius, and refuses a box of more than
+    `budget` points as the core does. Order is the deterministic
+    tie-break: ascending exact p-power norm, then lexicographic on
+    coordinates.
     """
-    if n < 0:
-        raise ValueError(f"count exponent must be nonnegative, got {n}")
-    p = _validate_lattice_args(k, p)
-    t, _ = _box_side(n, k, p, budget, "lattice point enumeration")
+    import checks  # imports mpmath, which the suite does not require
+    import mpmath
+
+    # mpmath.ceil, since math.ceil would round R to a float first.
+    t = max(1, int(mpmath.ceil(checks.radius(n, k, p))) + 1)
+    box = (2 * t + 1) ** k
+    if box > budget:
+        raise BudgetExceededError("lattice point enumeration", box, budget)
     cutoff = t**p
     kept = []
     for point in itertools.product(range(-t, t + 1), repeat=k):

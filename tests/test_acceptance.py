@@ -19,8 +19,9 @@ false; the README discusses both:
   third-moment form is 2^(1/3) > 1 = M_min, a real violation that the
   audit must report (the CLI exits 1 on it). The criterion checks the
   audit itself: M_min matches the pinned search results, each finite
-  bound matches an independent recomputation, each violation flag equals
-  finite_bound > M_min, and the violations are exactly that one case.
+  bound matches the dsslab-free 30-digit recomputation of
+  perfbench/checks.py, each violation flag equals finite_bound > M_min,
+  and the violations are exactly that one case.
 """
 
 from __future__ import annotations
@@ -31,7 +32,7 @@ import time
 import numpy as np
 import pytest
 
-from conftest import random_sequence, recomputed_finite_bound, subset_total
+from conftest import random_sequence, subset_total
 from dsslab import (
     METHOD_FIRST,
     METHOD_THIRD,
@@ -57,7 +58,8 @@ from dsslab import (
 from dsslab.cli import build_config, run
 from dsslab.sequences import _gray_first_collision, _zero_sum_signs
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")
+checks = pytest.importorskip("checks")
 
 
 def _verdict(num: int, ok: bool, detail: str) -> str:
@@ -140,21 +142,10 @@ def test_criterion_04_crossover_reproduction():
     deterministic = rows == again
 
     argmax_ok = True
-    with mpmath.workdps(30):
-        for row in rows:
-            kk = mpmath.mpf(row.k)
-            ref = {
-                METHOD_FIRST: mpmath.sqrt(mpmath.pi / 2)
-                * mpmath.gamma(kk + 1) ** (1 / kk)
-                / (kk + 1),
-                METHOD_THIRD: (mpmath.pi / 8) ** mpmath.mpf("1/6")
-                * mpmath.gamma((kk + 3) / 3) ** (1 / kk)
-                / ((kk + 3) ** mpmath.mpf("1/3") * mpmath.gamma(mpmath.mpf("4/3"))),
-                METHOD_VARIANCE: mpmath.sqrt(4 / (mpmath.pi * (kk + 2)))
-                * mpmath.gamma(kk / 2 + 1) ** (1 / kk),
-            }
-            if row.argmax != max(ref, key=lambda m: ref[m]):
-                argmax_ok = False
+    for row in rows:
+        ref = checks.coefficients(row.k)
+        if row.argmax != max(ref, key=lambda m: ref[m]):
+            argmax_ok = False
 
     cli = run(build_config(["crossover", "--k-min", "1", "--k-max", "30", "--format", "csv"]))
     survives_disagreement = cli.code == 0 and len(cli.notes) > 0
@@ -217,7 +208,7 @@ def test_criterion_06_bound_vs_search_audit():
                 f"expected {expect}"
             )
         for row in report.rows:
-            alt = recomputed_finite_bound(n, k, row.method)
+            alt = checks._finite_bounds(n, k)[row.method]
             if alt is None:
                 agrees = row.finite_bound is None
             else:

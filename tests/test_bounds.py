@@ -7,7 +7,6 @@ import math
 
 import pytest
 
-from conftest import recomputed_finite_bound
 from dsslab import (
     METHOD_FIRST,
     METHOD_THIRD,
@@ -16,6 +15,7 @@ from dsslab import (
     coeff,
     crossover_table,
     lower_bound,
+    pnorm,
     published_regime,
     regime_disagreements,
 )
@@ -23,7 +23,8 @@ from dsslab.bounds import _finite
 from dsslab.combinatorics import scaled_abs_moment_sum
 from dsslab.pnorm import radius_for_count
 
-mpmath = pytest.importorskip("mpmath")
+pytest.importorskip("mpmath")
+checks = pytest.importorskip("checks")
 
 # Ten-digit reference values computed with 30-digit working precision.
 COEFF_TABLE = {
@@ -36,19 +37,6 @@ COEFF_TABLE = {
     7: (0.5295275979, 0.5147096917, 0.5340337418),
     20: (0.4956177761, 0.4992147488, 0.5119550963),
 }
-
-
-def _mp_coeffs(k):
-    with mpmath.workdps(30):
-        kk = mpmath.mpf(k)
-        first = mpmath.sqrt(mpmath.pi / 2) * mpmath.gamma(kk + 1) ** (1 / kk) / (kk + 1)
-        third = (
-            (mpmath.pi / 8) ** mpmath.mpf("1/6")
-            * mpmath.gamma((kk + 3) / 3) ** (1 / kk)
-            / ((kk + 3) ** mpmath.mpf("1/3") * mpmath.gamma(mpmath.mpf("4/3")))
-        )
-        var = mpmath.sqrt(4 / (mpmath.pi * (kk + 2))) * mpmath.gamma(kk / 2 + 1) ** (1 / kk)
-        return float(first), float(third), float(var)
 
 
 def test_coefficients_match_reference_table():
@@ -65,10 +53,9 @@ def test_variance_coefficient_at_one_is_inverse_sqrt_three():
 def test_coefficients_match_high_precision_recomputation():
     ks = list(range(1, 61)) + [100, 150, 200]
     for k in ks:
-        cf, ct, cv = _mp_coeffs(k)
-        assert abs(coeff(1, k) - cf) <= 1e-9 * cf, k
-        assert abs(coeff(3, k) - ct) <= 1e-9 * ct, k
-        assert abs(coeff(2, k) - cv) <= 1e-9 * cv, k
+        ref = checks.coefficients(k)
+        for p, method in ((1, METHOD_FIRST), (3, METHOD_THIRD), (2, METHOD_VARIANCE)):
+            assert abs(coeff(p, k) - ref[method]) <= 1e-9 * ref[method], (k, method)
 
 
 def test_coefficients_positive_and_finite():
@@ -102,8 +89,8 @@ def test_best_method_examples():
 def test_best_method_agrees_with_recomputed_argmax():
     for k in range(1, 61):
         cmp = best_method(k)
-        recomputed = dict(zip((METHOD_FIRST, METHOD_THIRD, METHOD_VARIANCE), _mp_coeffs(k)))
-        computed = dict(zip(recomputed, (cmp.c_first, cmp.c_third, cmp.c_variance)))
+        recomputed = checks.coefficients(k)
+        computed = {METHOD_FIRST: cmp.c_first, METHOD_THIRD: cmp.c_third, METHOD_VARIANCE: cmp.c_variance}
         assert cmp.argmax == max(recomputed, key=recomputed.get), k
         assert abs(computed[cmp.argmax] - recomputed[cmp.argmax]) <= 1e-9
 
@@ -138,8 +125,18 @@ def test_finite_forms_recomputed_from_parts():
     for n in range(1, 61):
         for k, method in itertools.product((1, 2, 3, 5, 8, 20, 200), (METHOD_FIRST, METHOD_THIRD)):
             finite = lower_bound(n, k, method).finite_bound
-            alt = recomputed_finite_bound(n, k, method)
+            alt = checks._finite_bounds(n, k)[method]
             assert abs(finite - alt) <= 1e-12 * alt, (n, k, method)
+
+
+def test_finite_reference_catches_a_perturbed_radius(monkeypatch):
+    # The reference shares no code with dsslab: an R off by 1e-9 inside
+    # dsslab moves every finite bound past the 1e-12 tolerance.
+    real = pnorm._radius_gammas
+    monkeypatch.setattr(pnorm, "_radius_gammas", lambda k, p: (real(k, p)[0] * (1 + 1e-9), real(k, p)[1]))
+    for n, k, method in itertools.product((3, 10, 40), (1, 2, 5), (METHOD_FIRST, METHOD_THIRD)):
+        alt = checks._finite_bounds(n, k)[method]
+        assert abs(lower_bound(n, k, method).finite_bound - alt) > 1e-12 * alt, (n, k, method)
 
 
 def test_finite_form_approaches_asymptotic():

@@ -30,3 +30,13 @@ def test_import_leaves_the_cli_out():
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))}
     code = "import sys, dsslab; sys.exit('dsslab.cli' in sys.modules)"
     assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0
+
+
+def test_benchmark_references_import_no_dsslab():
+    # The tests take their high-precision references from perfbench's
+    # checks, which must stay apart from the code they check.
+    pytest.importorskip("mpmath")
+    paths = (Path(__file__).parents[1] / "perfbench", Path(dsslab.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(map(str, paths))}
+    code = "import sys, checks, workloads; sys.exit('dsslab' in sys.modules)"
+    assert subprocess.run([sys.executable, "-c", code], env=env).returncode == 0

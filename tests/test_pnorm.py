@@ -36,6 +36,7 @@ from dsslab.pnorm import (
 )
 
 mpmath = pytest.importorskip("mpmath")
+checks = pytest.importorskip("checks")
 
 
 def test_gamma_examples():
@@ -351,7 +352,7 @@ def test_max_enumerable_n_reproduces_pinned_table(monkeypatch):
 
 
 def test_covering_bound_settles_the_first_box():
-    # _box_side takes the first side t0 for every (k, p) and never grows it:
+    # A query takes the first box side t0 for every (k, p) and never grows it:
     # this is the count it relies on, up to one n past each limit. For
     # p = 2 and k = 5..8 no proof covers t0, so this is the whole evidence.
     for budget in (2**22, 2**16):
@@ -424,7 +425,7 @@ def test_guided_search_takes_fewer_ball_counts(monkeypatch):
 
 
 def test_shell_query_evaluates_the_radius_once(monkeypatch):
-    # _box_side hands its R to the search and the ratio.
+    # The box side's R goes on to the search and the ratio.
     calls = []
     monkeypatch.setattr(pnorm, "radius_for_count", lambda *args: calls.append(args) or radius_for_count(*args))
     lattice_shell_enumerate(10, 2, 2)
@@ -483,7 +484,7 @@ def _polynomial_product(a: list, b: list) -> list:
 def test_cross_polytope_ball_counts_have_positive_coefficients():
     # L_k(t) = sum_i 2^i C(k, i) C(t, i) counts the points of Z^k with
     # l1 norm <= t. Positive coefficients and the leading 2^k / k! give
-    # L_k(t) >= vol B_1(t), the p = 1 case of _box_side's proof.
+    # L_k(t) >= vol B_1(t), the p = 1 case of the box side's proof.
     for k in range(1, 9):
         poly = [Fraction(0)] * (k + 1)
         for i in range(k + 1):
@@ -534,12 +535,12 @@ def test_p1_closed_form_equals_the_slice_route(monkeypatch):
     cells = [(n, k, budget) for budget in budgets for n, k in _p1_cells(budget)]
     radii = [0.5, 1.0, 2.5, 7.0, 19.99, 20.0, 63.2]
     closed = [_outcome(lattice_shell_enumerate, n, k, 1, budget) for n, k, budget in cells]
-    checks = [_outcome(lattice_count_check, k, 1, r) for k in range(1, 6) for r in radii]
+    counted = [_outcome(lattice_count_check, k, 1, r) for k in range(1, 6) for r in radii]
     monkeypatch.setattr(pnorm, "_ball", pnorm._slice_ball)
     sliced = [_outcome(lattice_shell_enumerate, n, k, 1, budget) for n, k, budget in cells]
     assert [typed_fields(s) for s in closed] == [typed_fields(s) for s in sliced]
     assert sum(isinstance(s, LatticeShellSummary) for s in closed) == 191
-    assert checks == [_outcome(lattice_count_check, k, 1, r) for k in range(1, 6) for r in radii]
+    assert counted == [_outcome(lattice_count_check, k, 1, r) for k in range(1, 6) for r in radii]
 
 
 def test_p1_queries_build_no_slice(monkeypatch):
@@ -560,10 +561,7 @@ def test_float_radius_ceiling_reaches_the_radius_when_k_is_two_to_the_p():
         n = 0
         while k * (math.ceil(radius_for_count(n, k, p)) + 1) ** p <= np.iinfo(np.int64).max:
             with mpmath.workdps(40):
-                kk, pp = mpmath.mpf(k), mpmath.mpf(p)
-                root = mpmath.gamma(1 + kk / pp) ** (1 / kk)
-                exact = 2 ** (n / kk) * root / (2 * mpmath.gamma(1 + 1 / pp))
-                assert math.ceil(radius_for_count(n, k, p)) >= exact, (k, p, n)
+                assert math.ceil(radius_for_count(n, k, p)) >= checks.radius(n, k, p), (k, p, n)
             n += 1
         assert n > 8 * k  # the guard admits boxes far past the default budget
 
