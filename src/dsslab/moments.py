@@ -219,21 +219,18 @@ def _halves(
 ) -> tuple[np.ndarray, np.ndarray, SignedSumDistribution]:
     """The meet-in-the-middle split of coords (Horowitz-Sahni): (ys, weights, inner).
 
-    The first len(coords) // 2 entries and the rest get one signed-sum
-    distribution each, in that order, so a signed sum over all of coords
-    is a value y of one half plus a value z of the other. inner is the
-    half with more values. Both halves are symmetric, so y and -y pair
-    alike: ys are the other half's values y >= 0, and weights their
-    counts, doubled for y > 0 to stand for -y as well. Negation maps the
-    sign patterns reaching y onto those reaching -y, so the count of a
-    y > 0 is at most half of its half's patterns, and the doubled weight
-    fits in int64.
+    The first len(coords) // 2 entries (outer) and the rest (inner) get
+    one signed-sum distribution each, so a signed sum over all of coords
+    is a value y of outer plus a value z of inner. Callers sum over every
+    such pair, so which half plays which role changes no result. Both
+    halves are symmetric, so y and -y pair alike: ys are outer's values
+    y >= 0, and weights their counts, doubled for y > 0 to stand for -y
+    as well. Negation maps the sign patterns reaching y onto those
+    reaching -y, so the count of a y > 0 is at most half of its half's
+    patterns, and the doubled weight fits in int64.
     """
     parts = coords[: len(coords) // 2], coords[len(coords) // 2 :]
-    outer, inner = sorted(
-        (signed_sum_distribution(part, budget=budget, signs=signs) for part in parts),
-        key=lambda dist: len(dist.values),
-    )
+    outer, inner = (signed_sum_distribution(part, budget=budget, signs=signs) for part in parts)
     nonneg = outer.values >= 0
     ys = outer.values[nonneg]
     return ys, outer.counts[nonneg] << (ys > 0), inner
@@ -505,12 +502,14 @@ def convexity_probe(
     Each trial draws an integer point x in [0, bound]^n and a coordinate
     i, then checks two exact statements about f(t) = E|X| as a function
     of x_i alone: midpoint convexity f(lo) + f(hi) >= 2 f(mid) for a
-    random even-gap pair lo <= hi (so the midpoint is on the grid), and
-    the vertex property f(x_i) <= max(f(0), f(bound)). All values are
-    exact rationals, so a pass is exact, not approximate. One DP per trial
-    builds the distribution of the other n - 1 coordinates, and each f(t)
-    pairs it with the two-point side {-t, +t}. Returns the first
-    counterexample, or None.
+    random pair lo = mid - gap, hi = mid + gap, drawn by its midpoint mid
+    in [0, bound] and then gap in [0, min(mid, bound - mid)], so every
+    even-gap pair in [0, bound] can be drawn; and the vertex property
+    f(x_i) <= max(f(0), f(bound)). All values are exact rationals, so a
+    pass is exact, not approximate. One DP per trial builds the
+    distribution of the other n - 1 coordinates, and each f(t) pairs it
+    with the two-point side {-t, +t}. Returns the first counterexample,
+    or None.
     """
     if not (1 <= n <= 16):
         raise ValueError(f"probe supports 1 <= n <= 16, got {n}")
@@ -520,14 +519,9 @@ def convexity_probe(
     for _ in range(trials):
         x = [int(v) for v in rng.integers(0, bound + 1, size=n)]
         i = int(rng.integers(0, n))
-        while True:
-            lo = int(rng.integers(0, bound + 1))
-            hi = int(rng.integers(0, bound + 1))
-            if lo > hi:
-                lo, hi = hi, lo
-            if (hi - lo) % 2 == 0:
-                break
-        mid = (lo + hi) // 2
+        mid = int(rng.integers(0, bound + 1))
+        gap = int(rng.integers(0, min(mid, bound - mid) + 1))
+        lo, hi = mid - gap, mid + gap
         rest = signed_sum_distribution(x[:i] + x[i + 1 :])
         # Coordinate i is the two-point side {-t, +t}: t >= 0 with weight 2.
         at = lambda t: Fraction(_paired_power_sum(np.array([t]), np.array([2]), rest, 1), 2 << n)

@@ -335,7 +335,8 @@ def _ball(t: int, k: int, p: int, cutoff: int) -> tuple[Callable[[int], int], Ca
 
 def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, float]:
     """Side t0 = max(1, ceil(R) + 1) of the one box [-t0, t0]^k a query
-    takes, and the continuum radius R it came from.
+    takes, and the continuum radius R it came from; at p = 1 an integer
+    R = m gives t0 = m + 1 exactly.
 
     R is the continuum radius, V_{k,p}(R) = 2^n; any lattice point with
     p-norm <= t0 lies inside the box, so the t0-ball's count is exact. The
@@ -357,6 +358,11 @@ def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, floa
       leading one is 2^k / k!, so L_k(t) >= vol B_1(t) >= 2^n for t >= R.
       R's relative rounding error stays below 2^-47, so t0 > R while
       R < 2^46; past that, lattice_shell_enumerate refuses a short box.
+      R^k = k! 2^(n-k) can be an integer m's k-th power (k = 2 and odd n,
+      for one), and then the float R may lie an ulp above m, which would
+      make ceil(R) + 1 = m + 2. An int check of m^k 2^k = k! 2^n takes
+      t0 = m + 1 there instead, still above R; R itself is returned as
+      computed.
     - p = 2 with k = 5..8: no proof. The tests check the pinned budgets,
       and lattice_shell_enumerate refuses a short box at run time.
 
@@ -372,7 +378,9 @@ def _box_side(n: int, k: int, p: int, budget: int, what: str) -> tuple[int, floa
     """
     try:
         r = radius_for_count(n, k, p)
-        t = max(1, math.ceil(r) + 1)
+        m = round(r)
+        exact = p == 1 and m**k << k == math.factorial(k) << n
+        t = max(1, (m if exact else math.ceil(r)) + 1)
     except OverflowError:
         reason = f"int64 lattice norms: the radius for n={n}, k={k}, p={p} passes the float range"
         raise BudgetExceededError(reason, None, _INT64_MAX) from None

@@ -267,14 +267,15 @@ def _zero_sum_signs(seq: VectorSequence) -> int:
     Coordinate j's signed sums d_j lie in [-S_j, S_j]. Packed by
     _mixed_radix, a signed sum is 0 exactly when every d_j is: the lowest
     nonzero d_j would have to be a multiple of S_j + 1. _halves splits the
-    packed vectors into two three-sign distributions, and a zero total
-    pairs y in one with -y in the other. Both are symmetric, so the count
-    is sum w_y c(y) over _halves' ys >= 0 and weights w_y, c(y) being the
-    inner half's count of y. One searchsorted finds the ys inner holds,
-    and an int64 dot product sums their products: the count is at most
-    3^n < 2^63, since n <= VERIFY_MAX_N. It is 1, eps = 0 alone, exactly
-    when the 2^n subset sums are distinct. Each half's support is held to
-    the DP's default budget.
+    packed vectors, in their order, into two three-sign distributions, and
+    a zero total pairs y in one with -y in the other. Both are symmetric,
+    so the count is sum w_y c(y) over _halves' ys >= 0 and weights w_y,
+    c(y) being the inner (second) half's count of y; the count of pairs
+    does not depend on which half is inner. One searchsorted finds the ys
+    inner holds, and an int64 dot product sums their products: the count
+    is at most 3^n < 2^63, since n <= VERIFY_MAX_N. It is 1, eps = 0
+    alone, exactly when the 2^n subset sums are distinct. Each half's
+    support is held to the DP's default budget.
     """
     ys, weights, inner = _halves(_mixed_radix(seq)[0], DEFAULT_TABLE_BUDGET, (-1, 0, 1))
     at = np.minimum(inner.values.searchsorted(ys), len(inner.values) - 1)
@@ -320,11 +321,11 @@ def verify_distinct(seq: VectorSequence) -> Collision | None:
     superincreasing blocks, at any radix and any n; None is returned then,
     and otherwise it decides nothing, so every collision and refusal comes
     from the routes after it. Past VERIFY_MAX_N, an input it leaves
-    undecided is refused, before any count or walk. A half whose support passes the DP budget sends
-    the input to the walk as well, and when the walk sees
-    DEFAULT_TABLE_BUDGET sums, fewer than 2^n, without a repeat, the half's
-    refusal is raised; a walk that runs out on its own raises its own. Both
-    are BudgetExceededError.
+    undecided is refused, before any count or walk. A half whose support
+    passes the DP budget sends the input to the walk as well, and when the
+    walk sees DEFAULT_TABLE_BUDGET sums, fewer than 2^n, without a repeat,
+    the half's refusal is raised; a walk that runs out on its own raises
+    its own. Both are BudgetExceededError.
     """
     radix = _mixed_radix(seq)[1]
     if radix >= 1 << seq.n and _peeled_distinct(seq):

@@ -786,10 +786,27 @@ def test_convexity_probe_reports_a_midpoint_failure():
     with mock.patch.object(moments, "_paired_power_sum", concave):
         found = convexity_probe(4, 10, trials=50, seed=1)
     assert found == moments.ConvexityCounterexample(
-        kind="midpoint", x=(5, 5, 8, 10), index=0, lo=1, hi=9,
-        f_lo=Fraction(-1, 32), f_mid=Fraction(-25, 32), f_hi=Fraction(-81, 32),
+        kind="midpoint", x=(5, 5, 8, 10), index=0, lo=0, hi=2,
+        f_lo=Fraction(0), f_mid=Fraction(-1, 32), f_hi=Fraction(-1, 8),
     )
     assert found.f_lo + found.f_hi < 2 * found.f_mid
+
+
+def test_convexity_probe_draws_every_even_gap_pair():
+    # Each trial evaluates f at lo, mid, hi, then x_i, 0 and bound, in that
+    # order; recording t through a pass-through gives every pair drawn.
+    seen = []
+    paired = moments._paired_power_sum
+
+    def record(ys, weights, inner, p):
+        seen.append(int(ys[0]))
+        return paired(ys, weights, inner, p)
+
+    with mock.patch.object(moments, "_paired_power_sum", record):
+        assert convexity_probe(3, 6, trials=300, seed=7) is None
+    assert len(seen) == 6 * 300
+    pairs = {(seen[t], seen[t + 2]) for t in range(0, len(seen), 6)}
+    assert pairs == {(lo, hi) for lo in range(7) for hi in range(lo, 7, 2)}
 
 
 def test_convexity_probe_reports_a_vertex_failure():

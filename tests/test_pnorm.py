@@ -28,6 +28,7 @@ from dsslab.pnorm import (
     DEFAULT_ENUM_BUDGET,
     _ball_count,
     _ball_norm_sum,
+    _box_side,
     _cross_polytope_count,
     _cross_polytope_norm_sum,
     _iroot,
@@ -355,17 +356,30 @@ def test_covering_bound_settles_the_first_box():
     # A query takes the first box side t0 for every (k, p) and never grows it:
     # this is the count it relies on, up to one n past each limit. For
     # p = 2 and k = 5..8 no proof covers t0, so this is the whole evidence.
+    # t0 is the side _box_side takes, under a budget that never binds.
     for budget in (2**22, 2**16):
         for p in range(1, 6):
             for k in range(1, 9):
                 n_max = _outcome(max_enumerable_n, k, p, budget)
                 top = n_max + 1 if isinstance(n_max, int) else 0
                 for n in range(top + 1):
-                    t0 = max(1, math.ceil(radius_for_count(n, k, p)) + 1)
-                    if k * t0**p > np.iinfo(np.int64).max:
+                    try:
+                        t0, _ = _box_side(n, k, p, math.inf, "box")
+                    except BudgetExceededError as err:
+                        assert err.what.startswith("int64 lattice norms"), (k, p, n)
                         continue  # refused by the int64 guard before any count
                     orthant = _orthant_slice(t0, k, p, t0**p)
                     assert _ball_count(orthant, t0**p, p, t0) >= 2**n, (k, p, n, budget)
+
+
+def test_integer_radius_at_p1_takes_the_box_just_past_it():
+    # At k = 2 and odd n, R^2 = 2^(n-1) makes R the integer 32 at n = 11,
+    # and the float R lies an ulp above it: the box side is still 33, so a
+    # 67^2 box holds n = 11.
+    assert radius_for_count(11, 2, 1) > 32
+    assert _box_side(11, 2, 1, 67**2, "box")[0] == 33
+    assert max_enumerable_n(2, 1, budget=67**2) == 11
+    assert lattice_shell_enumerate(11, 2, 1, budget=67**2).count == 2**11
 
 
 def _default_budget_cells():

@@ -20,6 +20,7 @@ from dsslab import (
     VectorSequence,
     baseline_construction,
     bound_vs_search_report,
+    exact_moment,
     iter_gray_subset_sums,
     min_m_search,
     verify_distinct,
@@ -198,6 +199,19 @@ def test_verify_distinct_is_walks_first_collision(seq):
     # Both routes: pigeonhole-gated inputs go straight to the walk, the
     # rest are decided by the pair count first.
     assert verify_distinct(seq) == _gray_first_collision(seq)
+
+
+@settings(max_examples=100)
+@given(_small_sequences(12))
+def test_reversed_vectors_leave_the_halves_results(seq):
+    # _halves makes the first n // 2 vectors one half and the rest the
+    # inner one, so the vector order alone decides which half is inner.
+    # Reversing the vectors must move no moment, count or decision.
+    back = VectorSequence(seq.n, seq.k, seq.bound, seq.vectors[::-1])
+    for p in (1, 2, 3):
+        assert exact_moment(back, p) == exact_moment(seq, p), p
+    assert _zero_sum_signs(back) == _zero_sum_signs(seq)
+    assert (verify_distinct(back) is None) == (verify_distinct(seq) is None)
 
 
 @settings(max_examples=60)
